@@ -18,7 +18,7 @@ class NumericError(Exception):
 
 
 class NonFiniteLossError(NumericError):
-    """Training loss became NaN/Inf; carries provenance of the offending pair."""
+    """Training loss or gradient became NaN/Inf; carries the step's pair provenance."""
 
     def __init__(self, message, provenance=None):
         super().__init__(message)

@@ -13,7 +13,8 @@ y = 0 in every class exactly inert: zero loss and zero gradient to P.
 Pair losses symmetrize the hybrid loss with a stop-gradient on the target
 branch.  Positive pairs pull the two maps together; negative pairs (C = 2
 only) push map B toward the channel-swapped complement of map A and vice
-versa, reusing the same hybrid primitive.
+versa, reusing the same hybrid primitive.  ``pair_batch_loss`` evaluates a
+whole step's pairs at once, one pair per batch sample.
 """
 
 import numpy as np
@@ -42,29 +43,38 @@ def _check_map(name, t):
         raise ValueError(f"{name} values outside [0, 1]: min {lo:.3g}, max {hi:.3g}")
 
 
-def hybrid_loss(y, p):
-    """Scalar hybrid loss; differentiable w.r.t. P, and w.r.t. Y when soft."""
+def _hybrid_terms(y, p):
+    """Elementwise summand y * log p + y * p / (y^2 + p^2), before the -1/N."""
     _check_map("Y", y)
     _check_map("P", p)
     if y.data.shape != p.data.shape:
         raise ValueError(f"shape mismatch: Y {y.data.shape} vs P {p.data.shape}")
+    return y * T.log(T.clamp_min(p, LOG_FLOOR)) + T.bounded_ratio(y, p)
+
+
+def hybrid_loss(y, p):
+    """Scalar hybrid loss; differentiable w.r.t. P, and w.r.t. Y when soft."""
+    terms = _hybrid_terms(y, p)
     n = y.data.shape[0] * y.data.shape[2] * y.data.shape[3]
-    ce = y * T.log(T.clamp_min(p, LOG_FLOOR))
-    ratio = T.bounded_ratio(y, p)
-    return (ce + ratio).sum() * (-1.0 / n)
+    return terms.sum() * (-1.0 / n)
+
+
+def _check_weights(n, weights):
+    weights = [float(w) for w in weights]
+    if n != len(weights):
+        raise ValueError(f"{n} losses vs {len(weights)} weights")
+    if not weights:
+        raise ValueError("total_loss needs at least one slice")
+    for w in weights:
+        if not (0.0 <= w <= 1.0):
+            raise ValueError(f"slice weight {w} outside [0, 1]")
+    return weights
 
 
 def total_loss(per_slice_losses, weights):
     """Weighted sum sum_i eta_i * loss_i over per-slice scalar losses."""
     losses = list(per_slice_losses)
-    weights = [float(w) for w in weights]
-    if len(losses) != len(weights):
-        raise ValueError(f"{len(losses)} losses vs {len(weights)} weights")
-    if not losses:
-        raise ValueError("total_loss needs at least one slice")
-    for w in weights:
-        if not (0.0 <= w <= 1.0):
-            raise ValueError(f"slice weight {w} outside [0, 1]")
+    weights = _check_weights(len(losses), weights)
     acc = losses[0] * weights[0]
     for loss, w in zip(losses[1:], weights[1:]):
         acc = acc + loss * w
@@ -91,3 +101,36 @@ def negative_pair_loss(p_a, p_b):
     if p_a.data.shape != p_b.data.shape:
         raise ValueError(f"shape mismatch: {p_a.data.shape} vs {p_b.data.shape}")
     return (hybrid_loss(_complement(p_a), p_b) + hybrid_loss(_complement(p_b), p_a)) * 0.5
+
+
+def pair_batch_loss(p_a, p_b, cross, etas, targets=None):
+    """Eta-weighted sum of the pair losses of a batch -> (total, per-pair values).
+
+    Sample i of the B x 2 x H x W maps ``p_a`` and ``p_b`` is pair i.  Each
+    pair scores like ``positive_pair_loss`` on its own slice, or like
+    ``negative_pair_loss`` where ``cross[i]``; ``total`` weights pair i by
+    ``etas[i]`` inside one reduction.  ``targets``, when given, holds
+    (P_A, P_B) arrays used as the frozen target branches instead of the
+    detached maps.  The per-pair values (plain floats, unweighted) are read
+    off the forward data and are not on the tape.
+    """
+    if p_a.data.shape != p_b.data.shape:
+        raise ValueError(f"shape mismatch: {p_a.data.shape} vs {p_b.data.shape}")
+    B, C, H, W = p_a.data.shape
+    etas = _check_weights(B, etas)
+    cross = np.asarray(cross, dtype=bool)
+    if cross.shape != (B,):
+        raise ValueError(f"{cross.size} pair kinds for a batch of {B}")
+    if cross.any() and C != 2:
+        raise ValueError(f"cross pairs require C = 2, got C = {C}")
+    ta, tb = (p_a.data, p_b.data) if targets is None else targets
+    swap = cross[:, None, None, None]
+    ta = T.Tensor(np.where(swap, ta[:, ::-1], ta))
+    tb = T.Tensor(np.where(swap, tb[:, ::-1], tb))
+    terms = _hybrid_terms(ta, p_b) + _hybrid_terms(tb, p_a)
+    scale = -0.5 / (H * W)
+    weight = np.broadcast_to(np.asarray(etas, dtype=terms.dtype)[:, None, None, None] * scale,
+                             terms.shape)
+    total = (terms * T.Tensor(weight)).sum()
+    per = terms.data.sum(axis=(1, 2, 3), dtype=np.float64) * scale
+    return total, [float(v) for v in per]

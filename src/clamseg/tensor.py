@@ -19,8 +19,16 @@ Conventions fixed project-wide:
   NaN/Inf is never silent.
 
 Forward ops are pure and deterministic (fixed reduction order), so repeated
-runs on identical inputs are bit-identical.
+runs on identical inputs are bit-identical.  Every op treats the samples of a
+batch independently, so sample i of a batched forward is bit-identical to the
+same sample run alone.
+
+Inside ``no_grad()`` ops record nothing: forward-only inference keeps no
+backward graph alive even when its parameters require gradients.
 """
+
+from contextlib import contextmanager
+from functools import lru_cache
 
 import numpy as np
 
@@ -129,10 +137,25 @@ def _check_finite(arr, op):
         raise NumericError(f"non-finite values produced by {op}")
 
 
+_recording = True
+
+
+@contextmanager
+def no_grad():
+    """Run ops without recording tape nodes; the previous mode is restored on exit."""
+    global _recording
+    prev = _recording
+    _recording = False
+    try:
+        yield
+    finally:
+        _recording = prev
+
+
 def _result(data, op, parents, grad_fn):
     _check_finite(data, op)
     out = Tensor(data)
-    if any(p.requires_grad or p._node is not None for p in parents):
+    if _recording and any(p.requires_grad or p._node is not None for p in parents):
         out._node = TapeNode(op, tuple(parents), grad_fn)
     return out
 
@@ -220,18 +243,23 @@ def bounded_ratio(y, p):
 
     Smooth away from (0, 0); at exactly (0, 0) both the value and both
     partial derivatives are defined as 0, which makes all-zero target
-    entries fully inert.
+    entries fully inert.  Intermediates are float64: in float32 the square of
+    y^2 + p^2 in the partials underflows to 0 once y and p fall below about
+    1e-11.
     """
     _same_shape(y, p, "bounded_ratio")
-    denom = y.data * y.data + p.data * p.data
+    dt = y.data.dtype
+    yd = np.asarray(y.data, dtype=np.float64)
+    pd = np.asarray(p.data, dtype=np.float64)
+    denom = yd * yd + pd * pd
     live = denom > 0
     safe = np.where(live, denom, 1)
-    out = np.where(live, y.data * p.data / safe, 0)
+    out = np.where(live, yd * pd / safe, 0).astype(dt)
 
     def grad_fn(g):
         sq = safe * safe
-        gy = np.where(live, p.data * (p.data * p.data - y.data * y.data) / sq, 0) * g
-        gp = np.where(live, y.data * (y.data * y.data - p.data * p.data) / sq, 0) * g
+        gy = (np.where(live, pd * (pd * pd - yd * yd) / sq, 0) * g).astype(dt)
+        gp = (np.where(live, yd * (yd * yd - pd * pd) / sq, 0) * g).astype(dt)
         return gy, gp
 
     return _result(out, "bounded_ratio", (y, p), grad_fn)
@@ -361,39 +389,40 @@ def conv2d(x, w, b=None, stride=1, padding=0):
     return _result(out, "conv2d", parents, grad_fn)
 
 
-def _up2x_taps(n, dtype):
+@lru_cache(maxsize=None)
+def _up2x_matrix(n, dtype):
+    """The (2n x n) half-pixel interpolation matrix of one axis (read-only).
+
+    Row j holds the two taps of output pixel j; at the borders both taps
+    clip to the same source pixel and their weights add up.
+    """
     dst = np.arange(2 * n)
     src = (dst + 0.5) / 2 - 0.5
     f = np.floor(src)
     t = (src - f).astype(dtype)
-    i0 = np.clip(f, 0, n - 1).astype(np.intp)
-    i1 = np.clip(f + 1, 0, n - 1).astype(np.intp)
-    return i0, i1, (1 - t), t
+    u = np.zeros((2 * n, n), dtype=dtype)
+    u[dst, np.clip(f, 0, n - 1).astype(np.intp)] += 1 - t
+    u[dst, np.clip(f + 1, 0, n - 1).astype(np.intp)] += t
+    u.flags.writeable = False
+    return u
 
 
 def upsample_bilinear2x(x):
     """Double H and W by bilinear interpolation with half-pixel centers.
 
-    Exact linear operator; the gradient is its transpose (scatter-add of the
-    same weights).
+    Exact separable linear operator ``U_h . x . U_w^T`` per channel plane;
+    the gradient is its transpose ``U_h^T . g . U_w``, built from the same
+    per-axis matrices.
     """
     if x.data.ndim != 4:
         raise ValueError("upsample_bilinear2x: rank-4 tensor required")
-    B, C, H, W = x.data.shape
-    dt = x.data.dtype
-    r0, r1, wr0, wr1 = _up2x_taps(H, dt)
-    c0, c1, wc0, wc1 = _up2x_taps(W, dt)
-    tmp = x.data[:, :, r0, :] * wr0[:, None] + x.data[:, :, r1, :] * wr1[:, None]
-    out = tmp[:, :, :, c0] * wc0 + tmp[:, :, :, c1] * wc1
+    _, _, H, W = x.data.shape
+    uh = _up2x_matrix(H, x.data.dtype.type)
+    uw = _up2x_matrix(W, x.data.dtype.type)
+    out = np.matmul(np.matmul(uh, x.data), uw.T)
 
     def grad_fn(g):
-        gtmp = np.zeros_like(tmp)
-        np.add.at(gtmp, (slice(None), slice(None), slice(None), c0), g * wc0)
-        np.add.at(gtmp, (slice(None), slice(None), slice(None), c1), g * wc1)
-        gx = np.zeros_like(x.data)
-        np.add.at(gx, (slice(None), slice(None), r0, slice(None)), gtmp * wr0[:, None])
-        np.add.at(gx, (slice(None), slice(None), r1, slice(None)), gtmp * wr1[:, None])
-        return (gx,)
+        return (np.matmul(np.matmul(uh.T, g), uw),)
 
     return _result(out, "upsample_bilinear2x", (x,), grad_fn)
 

@@ -119,55 +119,47 @@ def init_state(model_config, opt_config, policy, seed, siamese=False,
                       policy=policy, seed=int(seed), siamese=bool(siamese))
 
 
-def _pair_input(arr, dtype):
-    return T.Tensor(arr.astype(dtype, copy=False)[None, None])
+def _batch_input(slices, dtype):
+    """Stack H x W slices into one B x 1 x H x W model input."""
+    return T.Tensor(np.stack(slices).astype(dtype, copy=False)[:, None])
+
+
+def _twin_forward(model_a, model_b, pairs, depth, trace=None):
+    """(P_A, P_B): every slice_a through model_a and every slice_b through
+    model_b, one batched forward each; sample i is pair i."""
+    maps = []
+    for tag, model, attr in (("a", model_a, "slice_a"), ("b", model_b, "slice_b")):
+        tr = {} if trace is not None else None
+        maps.append(model.forward(_batch_input([getattr(p, attr) for p in pairs], model.dtype),
+                                  depth=depth, trace=tr))
+        if trace is not None:
+            trace.update({f"{tag}/{k}": v for k, v in tr.items()})
+    return maps
 
 
 def pair_loss_terms(model_a, model_b, pairs, depth=None, frozen_targets=None,
                     trace=None):
-    """Per-pair losses plus the eta-weighted total.
+    """Eta-weighted total loss of a pair batch plus each pair's loss value.
 
-    frozen_targets, when given, holds each pair's (P_A, P_B) arrays captured
-    beforehand; the loss then uses those as the constant target branches
-    instead of detaching the live outputs.  The gradient is identical (the
-    stop-gradient branch contributes none), but the frozen form is what a
-    finite-difference probe can evaluate consistently.
+    The per-pair values are plain floats for the metrics log.
+    frozen_targets, when given, holds the batch's (P_A, P_B) arrays captured
+    beforehand by ``capture_targets``; the loss then uses those as the
+    constant target branches instead of detaching the live outputs.  The
+    gradient is identical (the stop-gradient branch contributes none), but
+    the frozen form is what a finite-difference probe can evaluate
+    consistently.  trace, when given, collects both forwards' traces under
+    ``a/`` and ``b/`` prefixes.
     """
-    per = []
-    for i, pair in enumerate(pairs):
-        tr_a = {} if trace is not None else None
-        tr_b = {} if trace is not None else None
-        pa = model_a.forward(_pair_input(pair.slice_a, model_a.dtype), depth=depth,
-                             trace=tr_a)
-        pb = model_b.forward(_pair_input(pair.slice_b, model_b.dtype), depth=depth,
-                             trace=tr_b)
-        if trace is not None:
-            trace.update({f"pair{i}/a/{k}": v for k, v in tr_a.items()})
-            trace.update({f"pair{i}/b/{k}": v for k, v in tr_b.items()})
-        if frozen_targets is None:
-            if pair.kind == "cross":
-                loss = losses.negative_pair_loss(pa, pb)
-            else:
-                loss = losses.positive_pair_loss(pa, pb)
-        else:
-            ta = T.Tensor(frozen_targets[i][0])
-            tb = T.Tensor(frozen_targets[i][1])
-            if pair.kind == "cross":
-                ta, tb = losses._complement(ta), losses._complement(tb)
-            loss = (losses.hybrid_loss(ta, pb) + losses.hybrid_loss(tb, pa)) * 0.5
-        per.append(loss)
-    total = losses.total_loss(per, [p.eta for p in pairs])
-    return total, per
+    pa, pb = _twin_forward(model_a, model_b, pairs, depth, trace)
+    return losses.pair_batch_loss(pa, pb, [p.kind == "cross" for p in pairs],
+                                  [p.eta for p in pairs], targets=frozen_targets)
 
 
 def capture_targets(model_a, model_b, pairs, depth=None):
-    """Forward-only probability maps used as frozen targets."""
-    out = []
-    for pair in pairs:
-        pa = model_a.forward(_pair_input(pair.slice_a, model_a.dtype), depth=depth)
-        pb = model_b.forward(_pair_input(pair.slice_b, model_b.dtype), depth=depth)
-        out.append((pa.data.copy(), pb.data.copy()))
-    return out
+    """Forward-only (P_A, P_B) batch arrays used as frozen targets."""
+    with T.no_grad():
+        pa, pb = _twin_forward(model_a, model_b, pairs, depth)
+    return pa.data, pb.data
 
 
 def _pair_provenance(pair):
@@ -176,7 +168,11 @@ def _pair_provenance(pair):
 
 
 def train_step(state, pairs):
-    """One optimizer tick over a pair batch -> metrics dict."""
+    """One optimizer tick over a pair batch -> metrics dict.
+
+    A non-finite loss or gradient raises ``NonFiniteLossError`` before the
+    optimizer runs, leaving the weights and the step count unchanged.
+    """
     if not pairs:
         raise ValueError("empty pair batch")
     for _, model in state.models():
@@ -191,14 +187,20 @@ def train_step(state, pairs):
 
     grads = {f"{tag}/{n}": t.grad for tag, m in state.models()
              for n, t in m.parameter_items()}
+    bad = [name for name, g in grads.items() if not np.isfinite(g).all()]
+    if bad:
+        raise NonFiniteLossError(
+            f"non-finite gradient at step {state.step} in {', '.join(bad[:3])}"
+            + (f" and {len(bad) - 3} more" if len(bad) > 3 else ""),
+            provenance=[_pair_provenance(p) for p in pairs])
     sq = 0.0
     for g in grads.values():
         sq += float(np.sum(g.astype(np.float64) ** 2))
     state.optimizer.step(grads)
     state.step += 1
 
-    pos = [l.item() for l, p in zip(per, pairs) if p.kind != "cross"]
-    neg = [l.item() for l, p in zip(per, pairs) if p.kind == "cross"]
+    pos = [v for v, p in zip(per, pairs) if p.kind != "cross"]
+    neg = [v for v, p in zip(per, pairs) if p.kind == "cross"]
     return {"step": state.step,
             "total_loss": total.item(),
             "pos_loss_mean": float(np.mean(pos)) if pos else float("nan"),
@@ -322,17 +324,23 @@ def prune_state(state, depth):
 # -- inference --------------------------------------------------------------
 
 def stitch_probs(state, image, depth=None):
-    """Forward model_a over raster tiles -> stitched 2 x S x S probability map."""
+    """Forward model_a over raster tiles -> stitched 2 x S x S probability map.
+
+    All tiles of the image run as one batch, without recording a tape.
+    """
     if image.ndim != 2 or image.shape[0] != image.shape[1]:
         raise DataError(f"inference expects a square image, got shape {image.shape}")
     s = image.shape[0]
     t = state.policy.tile_size
     if s % t != 0:
         raise DataError(f"tile size {t} does not divide image size {s}")
+    tiles = augment.tile(image, t)
+    with T.no_grad():
+        prob = state.model_a.forward(_batch_input([sl for _, sl in tiles], state.model_a.dtype),
+                                     depth=depth)
     out = np.zeros((2, s, s), dtype=np.float32)
-    for (r, c), sl in augment.tile(image, t):
-        prob = state.model_a.forward(_pair_input(sl, state.model_a.dtype), depth=depth)
-        out[:, r * t:(r + 1) * t, c * t:(c + 1) * t] = prob.data[0]
+    for ((r, c), _), p in zip(tiles, prob.data):
+        out[:, r * t:(r + 1) * t, c * t:(c + 1) * t] = p
     return out
 
 

@@ -254,6 +254,48 @@ def test_negative_pair_requires_two_channels():
         losses.negative_pair_loss(T.Tensor(tri), T.Tensor(tri.copy()))
 
 
+def test_pair_batch_loss_matches_per_pair_losses():
+    rng = np.random.default_rng(60)
+    a = T.Tensor(_soft(rng, (3, 2, 3, 3)), dtype=np.float64)
+    b = T.Tensor(_soft(rng, (3, 2, 3, 3)), dtype=np.float64)
+    cross = [False, True, False]
+    etas = [0.75, 0.4, 0.0]
+    total, per = losses.pair_batch_loss(a, b, cross, etas)
+    want = []
+    for i, neg in enumerate(cross):
+        ai, bi = T.Tensor(a.data[i:i + 1]), T.Tensor(b.data[i:i + 1])
+        fn = losses.negative_pair_loss if neg else losses.positive_pair_loss
+        want.append(fn(ai, bi).item())
+    np.testing.assert_allclose(per, want, rtol=1e-12)
+    assert total.item() == pytest.approx(sum(e * w for e, w in zip(etas, want)), rel=1e-12)
+
+
+def test_pair_batch_loss_weights_each_sample_gradient():
+    rng = np.random.default_rng(61)
+    za = T.Tensor(rng.standard_normal((2, 2, 3, 3)), requires_grad=True, dtype=np.float64)
+    zb = T.Tensor(rng.standard_normal((2, 2, 3, 3)), requires_grad=True, dtype=np.float64)
+    total, _ = losses.pair_batch_loss(T.softmax_channels(za), T.softmax_channels(zb),
+                                      [True, False], [0.0, 0.5])
+    T.backward(total)
+    # a zero eta makes its sample inert in both branches
+    np.testing.assert_array_equal(za.grad[0], 0.0)
+    np.testing.assert_array_equal(zb.grad[0], 0.0)
+    assert np.abs(za.grad[1]).max() > 0 and np.abs(zb.grad[1]).max() > 0
+
+
+def test_pair_batch_loss_argument_validation():
+    u = T.Tensor(np.full((2, 2, 2, 2), 0.5))
+    with pytest.raises(ValueError, match="weights"):
+        losses.pair_batch_loss(u, u, [False, False], [1.0])
+    with pytest.raises(ValueError, match="kinds"):
+        losses.pair_batch_loss(u, u, [False], [1.0, 1.0])
+    with pytest.raises(ValueError, match="outside"):
+        losses.pair_batch_loss(u, u, [False, False], [1.0, 2.0])
+    tri = T.Tensor(np.full((1, 3, 2, 2), 1 / 3))
+    with pytest.raises(ValueError, match="C = 2"):
+        losses.pair_batch_loss(tri, tri, [True], [1.0])
+
+
 def test_loss_gradcheck_suite_passes():
     results = gc.run_suite(module="loss", seeds=range(20))
     failures = [(n, r) for n, r in results if not r["pass"]]

@@ -1,6 +1,7 @@
 """Tensor op tests against independent window/scalar oracles and finite differences."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -271,6 +272,22 @@ def test_bounded_ratio_gradients():
     np.testing.assert_array_equal(zp.grad, 0)
 
 
+def test_bounded_ratio_tiny_float32_stays_finite():
+    # y^2 + p^2 = 2e-40 is subnormal in float32 and its square underflows to
+    # 0 there; the float64 intermediates keep value and partials finite
+    y = T.Tensor(np.full(3, 1e-20, dtype=np.float32), requires_grad=True)
+    p = T.Tensor(np.full(3, 1e-20, dtype=np.float32), requires_grad=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = T.bounded_ratio(y, p)
+        T.backward(out.sum())
+    assert out.data.dtype == np.float32
+    np.testing.assert_allclose(out.data, 0.5, rtol=1e-6)
+    for g in (y.grad, p.grad):
+        assert g.dtype == np.float32
+        assert np.isfinite(g).all()
+
+
 def test_softmax_channels_uniform_and_shift_invariance():
     x = T.Tensor(np.zeros((1, 2, 2, 2)))
     out = T.softmax_channels(x)
@@ -410,3 +427,34 @@ def test_gradient_dtype_follows_data_dtype():
     x32 = T.Tensor(np.ones(2, dtype=np.float32), requires_grad=True)
     T.backward((x32 * x32).sum())
     assert x32.grad.dtype == np.float32
+
+
+def test_no_grad_records_no_tape_nodes():
+    rng = np.random.default_rng(31)
+    x = T.Tensor(rng.standard_normal((2, 2, 4, 4)), requires_grad=True)
+    w = T.Tensor(rng.standard_normal((2, 2, 3, 3)), requires_grad=True)
+    with T.no_grad():
+        h = T.relu(T.conv2d(x, w, padding=1))
+        out = T.softmax_channels(T.upsample_bilinear2x(h)) * 2.0
+        loss = out.sum()
+    for t in (h, out, loss):
+        assert t._node is None
+    with pytest.raises(ValueError, match="not connected"):
+        T.backward(loss)
+    # recording resumes after the block
+    T.backward(T.conv2d(x, w, padding=1).sum())
+    assert np.abs(w.grad).max() > 0
+
+
+def test_no_grad_restores_recording_when_body_raises():
+    x = T.Tensor(np.ones((1, 1, 2, 2)), requires_grad=True)
+    with pytest.raises(NumericError):
+        with T.no_grad():
+            T.log(x * 0.0)
+    assert T.relu(x)._node is not None
+    with T.no_grad():
+        with T.no_grad():
+            pass
+        assert T.relu(x)._node is None
+    assert T.relu(x)._node is not None
+

@@ -164,6 +164,40 @@ def test_non_finite_loss_aborts_with_provenance():
     assert prov[0]["source_a"] == "a.pgm"
 
 
+def test_non_finite_gradient_rejected_before_update(monkeypatch):
+    state = tiny_state(kind="adam")
+    pairs = [pair_of("augment", phantom_slice(1), phantom_slice(2)),
+             pair_of("cross", phantom_slice(3), phantom_slice(4), eta=0.5)]
+    before_a, before_b = params_bytes(state.model_a), params_bytes(state.model_b)
+    backward = T.backward
+
+    def poisoned(loss):
+        out = backward(loss)
+        state.model_b.params["head_1.bias"].grad[0] = np.inf
+        return out
+
+    monkeypatch.setattr(T, "backward", poisoned)
+    with pytest.raises(NonFiniteLossError, match="gradient at step 0.*b/head_1.bias") as exc:
+        trainer.train_step(state, pairs)
+    assert [p["kind"] for p in exc.value.provenance] == ["augment", "cross"]
+    assert exc.value.provenance[1]["eta"] == 0.5
+    assert state.step == 0 and state.optimizer.t == 0
+    assert params_bytes(state.model_a) == before_a
+    assert params_bytes(state.model_b) == before_b
+    assert all(not m.any() for m in state.optimizer.m.values())
+
+
+def test_pair_loss_terms_per_pair_values_match_single_pairs():
+    state = tiny_state()
+    pairs = [pair_of("augment", phantom_slice(1), phantom_slice(2), eta=0.75),
+             pair_of("cross", phantom_slice(3), phantom_slice(4), eta=0.4),
+             pair_of("normal", phantom_slice(5), phantom_slice(6), eta=1.0)]
+    total, per = trainer.pair_loss_terms(state.model_a, state.model_b, pairs)
+    single = [trainer.pair_loss_terms(state.model_a, state.model_b, [p])[1][0] for p in pairs]
+    np.testing.assert_allclose(per, single, rtol=1e-6)
+    assert total.item() == pytest.approx(0.75 * per[0] + 0.4 * per[1] + per[2], rel=1e-5)
+
+
 # -- gradients vs finite differences ---------------------------------------
 
 def frozen_loss_fn(model, name, model_a, model_b, pairs, frozen):
@@ -203,6 +237,33 @@ def test_single_pair_gradient_matches_finite_differences(kind):
             skipped += report["n_skipped"]
     assert checked > 300
     # relu kink skips must stay a small minority
+    assert skipped < 0.2 * (checked + skipped)
+
+
+def test_mixed_pair_batch_gradient_matches_finite_differences():
+    # augment and cross pairs with distinct etas in one batch exercise the
+    # per-sample complement and the per-sample weighting
+    cfg = tiny_config()
+    ma = UnetPP(cfg, seed=33, dtype=np.float64)
+    mb = UnetPP(cfg, seed=34, dtype=np.float64)
+    sa = phantom_slice(15, dtype=np.float64)
+    sb, _ = augment.blur(sa, derive_rng(16, "fd"))
+    sc = phantom_slice(17, dtype=np.float64)
+    pairs = [pair_of("augment", sa, sb, eta=0.75), pair_of("cross", sb, sc, eta=0.4)]
+    frozen = trainer.capture_targets(ma, mb, pairs)
+    assert frozen[0].shape == frozen[1].shape == (2, 2, 8, 8)
+
+    checked = skipped = 0
+    for model in (ma, mb):
+        for name in sorted(model.params):
+            f, point = frozen_loss_fn(model, name, ma, mb, pairs, frozen)
+            report = gradcheck.gradcheck(
+                f, T.Tensor(point.data.copy(), requires_grad=True, dtype=np.float64),
+                tol=1e-4)
+            assert report["pass"], f"{name}: {report}"
+            checked += report["n_checked"]
+            skipped += report["n_skipped"]
+    assert checked > 300
     assert skipped < 0.2 * (checked + skipped)
 
 
@@ -360,6 +421,31 @@ def test_infer_shapes_and_threshold(tmp_path):
     trainer.save_state(state, p)
     mask2 = trainer.infer(p, img)
     assert np.array_equal(mask, mask2)
+
+
+def test_stitch_probs_matches_per_tile_forward():
+    state = tiny_state(seed=8)
+    img = phantom_slice(5, size=24)
+    probs = trainer.stitch_probs(state, img)
+    for (r, c), sl in augment.tile(img, 8):
+        alone = state.model_a.forward(T.Tensor(sl[None, None])).data[0]
+        assert probs[:, r * 8:(r + 1) * 8, c * 8:(c + 1) * 8].tobytes() == alone.tobytes()
+
+
+def test_stitch_probs_records_no_tape(monkeypatch):
+    state = tiny_state()
+    outs = []
+    forward = UnetPP.forward
+
+    def keep(self, x, **kw):
+        out = forward(self, x, **kw)
+        outs.append(out)
+        return out
+
+    monkeypatch.setattr(UnetPP, "forward", keep)
+    trainer.stitch_probs(state, phantom_slice(3, size=16))
+    assert len(outs) == 1 and outs[0].data.shape[0] == 4
+    assert outs[0]._node is None
 
 
 def test_infer_rejects_bad_geometry():

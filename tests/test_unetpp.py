@@ -235,3 +235,16 @@ def test_model_gradcheck_small_sample():
     results = gc.run_suite(module="model", seeds=range(2))
     failures = [(n, r) for n, r in results if not r["pass"]]
     assert not failures, failures[:3]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_batched_forward_matches_single_samples_bitwise(dtype):
+    model = UnetPP(small_cfg(levels=3, input_size=16, base_channels=3, repeat_levels=[1]),
+                   seed=6, dtype=dtype)
+    x = np.random.default_rng(8).uniform(0, 1, (5, 1, 16, 16)).astype(dtype)
+    for depth in (1, 2):
+        batched = model.forward(T.Tensor(x), depth=depth).data
+        assert batched.shape == (5, 2, 16, 16)
+        for i in range(5):
+            alone = model.forward(T.Tensor(x[i:i + 1]), depth=depth).data
+            assert batched[i].tobytes() == alone[0].tobytes()
