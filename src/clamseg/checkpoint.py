@@ -6,8 +6,10 @@ Layout (all integers little-endian):
     then one record per tensor, in sorted-name order:
         name length u32 | name utf-8 | rank u32 | dims u32 x rank | data f32
 
-The sorted record order and the canonical config text make the file a pure
-function of its contents, so identical states produce identical bytes.
+The config text is the run's `key = value` settings (written and checked by
+``trainer``).  The sorted record order and the canonical config text make the
+file a pure function of its contents, so identical states produce identical
+bytes.  Version 1 files, with an older config block, are rejected.
 """
 
 import struct
@@ -17,7 +19,7 @@ import numpy as np
 from .errors import DataError
 
 MAGIC = b"CLAM"
-VERSION = 1
+VERSION = 2
 
 
 def save_checkpoint(path, config_text, tensors):

@@ -1,16 +1,40 @@
 """Run configuration: flat `key = value` text with `#` comments.
 
-One file carries the model architecture, optimizer, and pair policy.  Every
-key has a default, so an empty file is a valid config; unknown keys are
-rejected and parse errors cite their line number.
+``RunConfig`` is the one settings schema: one file carries the model
+architecture, optimizer, pair policy and loop settings, and the config block
+of every checkpoint is the ``format_config`` text of the ``RunConfig`` that
+rebuilds its state (see ``to_run_config``).  Every key has a default, so an
+empty file is a valid config; unknown keys are rejected and parse errors cite
+their line number.  The ``to_*`` functions validate a ``RunConfig`` into the
+objects the trainer runs on.
 """
 
 from dataclasses import dataclass, fields
 
 from .augment import PairPolicy
 from .errors import UsageError
-from .trainer import OptimizerConfig
 from .unetpp import UnetPPConfig
+
+
+@dataclass
+class OptimizerConfig:
+    kind: str = "adam"
+    lr: float = 1e-3
+    beta1: float = 0.9
+    beta2: float = 0.999
+    eps: float = 1e-8
+
+    def validate(self):
+        if self.kind not in ("sgd", "adam"):
+            raise ValueError(f"optimizer kind must be sgd or adam, got {self.kind!r}")
+        if self.lr <= 0:
+            raise ValueError(f"learning rate must be positive, got {self.lr}")
+        for nm in ("beta1", "beta2"):
+            b = getattr(self, nm)
+            if not 0.0 < b < 1.0:
+                raise ValueError(f"{nm} must be in (0, 1), got {b}")
+        if self.eps <= 0:
+            raise ValueError(f"eps must be positive, got {self.eps}")
 
 
 @dataclass
@@ -163,3 +187,28 @@ def to_policy(rc):
     return PairPolicy(n_augment=rc.n_augment, n_normal=rc.n_normal,
                       n_cross=rc.n_cross, tile_size=rc.tile_size,
                       default_eta=rc.default_eta)
+
+
+def to_run_config(model_config, opt_config, policy, siamese):
+    """The RunConfig that ``to_model_config``, ``to_optimizer_config`` and
+    ``to_policy`` map back onto these settings.
+
+    Kernel schedule, repeat levels and heads are written out explicitly, so
+    ``repeat_seed`` stays empty; ``checkpoint_every`` keeps its default, as
+    it steers the training loop and is not part of the settings.  Float
+    settings are cast to float so that their text reads back unchanged.
+    """
+    def ints(values):
+        return ",".join(str(v) for v in values)
+
+    return RunConfig(
+        levels=model_config.levels, base_channels=model_config.base_channels,
+        kernel_schedule=ints(model_config.kernel_schedule),
+        repeat_levels=ints(sorted(model_config.repeat_levels)),
+        heads=ints(model_config.heads),
+        optimizer=opt_config.kind, lr=float(opt_config.lr),
+        beta1=float(opt_config.beta1), beta2=float(opt_config.beta2),
+        eps=float(opt_config.eps), tile_size=policy.tile_size,
+        n_augment=policy.n_augment, n_normal=policy.n_normal,
+        n_cross=policy.n_cross, default_eta=float(policy.default_eta),
+        siamese=bool(siamese))

@@ -12,7 +12,6 @@ Layout under the output directory:
     organ_masks/img_0000.pgm   true organ support (referenced by manifests)
     eval_masks/img_0000.pgm    hidden lesion masks, same basenames
     eval_masks/gen_params.tsv  per-image draw log
-    eval_masks/tile_eta.tsv    per-tile marker rates over positive images
     manifest_{train,val,test}.tsv
 """
 
@@ -134,27 +133,8 @@ def _split_indices(labels, seed, fracs):
     return {k: sorted(v) for k, v in out.items()}
 
 
-def tile_marker_rates(masks, tile_size):
-    """Fraction of positive images whose lesion mask touches each tile."""
-    if not masks:
-        raise ValueError("no masks given")
-    s = masks[0].shape[0]
-    if s % tile_size != 0:
-        raise ValueError(f"tile size {tile_size} does not divide image size {s}")
-    t = s // tile_size
-    hits = np.zeros((t, t), dtype=np.int64)
-    for m in masks:
-        for r in range(t):
-            for c in range(t):
-                tile = m[r * tile_size:(r + 1) * tile_size,
-                         c * tile_size:(c + 1) * tile_size]
-                if tile.any():
-                    hits[r, c] += 1
-    return hits.astype(np.float64) / len(masks), hits
-
-
 def generate_phantoms(out_dir, count, positive_fraction, seed, params=None,
-                      split_fracs=(0.7, 0.15, 0.15), eta_tile=None):
+                      split_fracs=(0.7, 0.15, 0.15)):
     """Generate a phantom dataset; fully determined by seed and params."""
     if params is None:
         params = PhantomParams.easy()
@@ -162,8 +142,6 @@ def generate_phantoms(out_dir, count, positive_fraction, seed, params=None,
         raise ValueError(f"positive fraction {positive_fraction} outside [0, 1]")
     if count < 1:
         raise ValueError("count must be positive")
-    if eta_tile is None:
-        eta_tile = params.size // 2
 
     n_pos = round_half_up(count * positive_fraction)
     labels = ["pos" if i < n_pos else "neg" for i in range(count)]
@@ -174,7 +152,6 @@ def generate_phantoms(out_dir, count, positive_fraction, seed, params=None,
     for d in (img_dir, organ_dir, eval_dir):
         os.makedirs(d, exist_ok=True)
 
-    pos_masks = []
     log_rows = []
     for i in range(count):
         rng = derive_rng(seed, "phantom", f"{i:04d}")
@@ -183,8 +160,6 @@ def generate_phantoms(out_dir, count, positive_fraction, seed, params=None,
         pgm.write_unit(os.path.join(img_dir, name), img)
         pgm.write_mask(os.path.join(organ_dir, name), organ)
         pgm.write_mask(os.path.join(eval_dir, name), lesions)
-        if labels[i] == "pos":
-            pos_masks.append(lesions)
         les = ";".join(f"{y}:{x}:{r:.3f}:{v:.3f}" for y, x, r, v in info["lesions"])
         log_rows.append("\t".join([
             name, labels[i],
@@ -196,15 +171,6 @@ def generate_phantoms(out_dir, count, positive_fraction, seed, params=None,
         fh.write("name\tlabel\tcy\tcx\ta\tb\ttheta\tbase\tlesions\n")
         for row in log_rows:
             fh.write(row + "\n")
-
-    with open(os.path.join(eval_dir, "tile_eta.tsv"), "w", encoding="ascii") as fh:
-        fh.write(f"# tile_size\t{eta_tile}\n")
-        fh.write("tile_row\ttile_col\thits\tn_pos\trate\n")
-        if pos_masks:
-            rates, hits = tile_marker_rates(pos_masks, eta_tile)
-            for r in range(rates.shape[0]):
-                for c in range(rates.shape[1]):
-                    fh.write(f"{r}\t{c}\t{hits[r, c]}\t{len(pos_masks)}\t{rates[r, c]:.6f}\n")
 
     splits = _split_indices(labels, seed, split_fracs)
     for split, idxs in splits.items():

@@ -85,12 +85,6 @@ class Tensor:
         if self.grad is not None:
             self.grad[...] = 0
 
-    def dump(self):
-        """Text form for oracle comparison: dims line, then one value per line."""
-        lines = [" ".join(str(d) for d in self.data.shape)]
-        lines.extend(repr(float(v)) for v in self.data.reshape(-1))
-        return "\n".join(lines) + "\n"
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})"
 

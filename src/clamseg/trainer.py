@@ -18,32 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import augment, checkpoint, losses
+from . import augment, checkpoint, config, losses
 from . import tensor as T
-from .errors import DataError, NonFiniteLossError, NumericError
+from .config import OptimizerConfig
+from .errors import DataError, NonFiniteLossError, NumericError, UsageError
 from .seeding import derive_key
 from .unetpp import UnetPP, UnetPPConfig
-
-
-@dataclass
-class OptimizerConfig:
-    kind: str = "adam"
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-
-    def validate(self):
-        if self.kind not in ("sgd", "adam"):
-            raise ValueError(f"optimizer kind must be sgd or adam, got {self.kind!r}")
-        if self.lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {self.lr}")
-        for nm in ("beta1", "beta2"):
-            b = getattr(self, nm)
-            if not 0.0 < b < 1.0:
-                raise ValueError(f"{nm} must be in (0, 1), got {b}")
-        if self.eps <= 0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
 
 
 class Optimizer:
@@ -124,42 +104,17 @@ def _batch_input(slices, dtype):
     return T.Tensor(np.stack(slices).astype(dtype, copy=False)[:, None])
 
 
-def _twin_forward(model_a, model_b, pairs, depth, trace=None):
-    """(P_A, P_B): every slice_a through model_a and every slice_b through
-    model_b, one batched forward each; sample i is pair i."""
-    maps = []
-    for tag, model, attr in (("a", model_a, "slice_a"), ("b", model_b, "slice_b")):
-        tr = {} if trace is not None else None
-        maps.append(model.forward(_batch_input([getattr(p, attr) for p in pairs], model.dtype),
-                                  depth=depth, trace=tr))
-        if trace is not None:
-            trace.update({f"{tag}/{k}": v for k, v in tr.items()})
-    return maps
-
-
-def pair_loss_terms(model_a, model_b, pairs, depth=None, frozen_targets=None,
-                    trace=None):
+def pair_loss_terms(model_a, model_b, pairs):
     """Eta-weighted total loss of a pair batch plus each pair's loss value.
 
-    The per-pair values are plain floats for the metrics log.
-    frozen_targets, when given, holds the batch's (P_A, P_B) arrays captured
-    beforehand by ``capture_targets``; the loss then uses those as the
-    constant target branches instead of detaching the live outputs.  The
-    gradient is identical (the stop-gradient branch contributes none), but
-    the frozen form is what a finite-difference probe can evaluate
-    consistently.  trace, when given, collects both forwards' traces under
-    ``a/`` and ``b/`` prefixes.
+    Every slice_a runs through model_a and every slice_b through model_b,
+    one batched forward each; sample i is pair i.  The per-pair values are
+    plain floats for the metrics log.
     """
-    pa, pb = _twin_forward(model_a, model_b, pairs, depth, trace)
+    pa = model_a.forward(_batch_input([p.slice_a for p in pairs], model_a.dtype))
+    pb = model_b.forward(_batch_input([p.slice_b for p in pairs], model_b.dtype))
     return losses.pair_batch_loss(pa, pb, [p.kind == "cross" for p in pairs],
-                                  [p.eta for p in pairs], targets=frozen_targets)
-
-
-def capture_targets(model_a, model_b, pairs, depth=None):
-    """Forward-only (P_A, P_B) batch arrays used as frozen targets."""
-    with T.no_grad():
-        pa, pb = _twin_forward(model_a, model_b, pairs, depth)
-    return pa.data, pb.data
+                                  [p.eta for p in pairs])
 
 
 def _pair_provenance(pair):
@@ -210,34 +165,21 @@ def train_step(state, pairs):
 
 # -- state serialization ----------------------------------------------------
 
-def _config_text(state):
-    d = {}
-    for k, v in state.model_config.to_dict().items():
-        d[f"model.{k}"] = v
-    oc = state.opt_config
-    d.update({"opt.kind": oc.kind, "opt.lr": repr(oc.lr), "opt.beta1": repr(oc.beta1),
-              "opt.beta2": repr(oc.beta2), "opt.eps": repr(oc.eps)})
-    pl = state.policy
-    d.update({"policy.n_augment": pl.n_augment, "policy.n_normal": pl.n_normal,
-              "policy.n_cross": pl.n_cross, "policy.tile_size": pl.tile_size,
-              "policy.default_eta": repr(pl.default_eta)})
-    d.update({"train.seed": state.seed, "train.step": state.step,
-              "train.siamese": int(state.siamese),
-              "train.truncated": int(state.model_a.truncated),
-              "train.marker_channel": state.marker_channel})
-    return "".join(f"{k}={d[k]}\n" for k in sorted(d))
+# state beyond the RunConfig settings, recorded as `train.<key> = <int>` lines
+# after the settings text
+_TRAIN_KEYS = ("seed", "step", "truncated", "marker_channel")
 
 
-def _parse_config_text(text, path):
-    d = {}
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        if "=" not in line:
-            raise DataError(f"{path}: bad config line {line!r}")
-        k, v = line.split("=", 1)
-        d[k] = v
-    return d
+def _settings_block(state):
+    """A checkpoint's config block: the ``--config`` text of the state's
+    settings, without the loop-only ``checkpoint_every``, then the train lines."""
+    rc = config.to_run_config(state.model_config, state.opt_config, state.policy,
+                              state.siamese)
+    lines = [ln for ln in config.format_config(rc).splitlines(keepends=True)
+             if not ln.startswith("checkpoint_every ")]
+    values = (state.seed, state.step, int(state.model_a.truncated), state.marker_channel)
+    lines += [f"train.{k} = {v}\n" for k, v in zip(_TRAIN_KEYS, values)]
+    return "".join(lines)
 
 
 def save_state(state, path):
@@ -250,37 +192,45 @@ def save_state(state, path):
         for key in opt.m:
             tensors[f"opt/m/{key}"] = opt.m[key]
             tensors[f"opt/v/{key}"] = opt.v[key]
-    checkpoint.save_checkpoint(path, _config_text(state), tensors)
+    checkpoint.save_checkpoint(path, _settings_block(state), tensors)
 
 
 def load_state(path):
-    config_text, tensors = checkpoint.load_checkpoint(path)
-    d = _parse_config_text(config_text, path)
+    text, tensors = checkpoint.load_checkpoint(path)
+    settings, train = [], {}
+    for ln in text.splitlines(keepends=True):
+        if ln.startswith("train."):
+            key, _, value = ln[len("train."):].partition("=")
+            train[key.strip()] = value.strip()
+        else:
+            settings.append(ln)
     try:
-        model_config = UnetPPConfig.from_dict(
-            {k[len("model."):]: v for k, v in d.items() if k.startswith("model.")})
-        opt_config = OptimizerConfig(kind=d["opt.kind"], lr=float(d["opt.lr"]),
-                                     beta1=float(d["opt.beta1"]),
-                                     beta2=float(d["opt.beta2"]),
-                                     eps=float(d["opt.eps"]))
-        policy = augment.PairPolicy(n_augment=int(d["policy.n_augment"]),
-                                    n_normal=int(d["policy.n_normal"]),
-                                    n_cross=int(d["policy.n_cross"]),
-                                    tile_size=int(d["policy.tile_size"]),
-                                    default_eta=float(d["policy.default_eta"]))
-        seed = int(d["train.seed"])
-        step = int(d["train.step"])
-        siamese = bool(int(d["train.siamese"]))
-        truncated = bool(int(d.get("train.truncated", "0")))
-        marker_channel = int(d["train.marker_channel"])
+        rc = config.parse_config("".join(settings), name=path)
+        model_config = config.to_model_config(rc)
+        opt_config = config.to_optimizer_config(rc)
+        policy = config.to_policy(rc)
+    except UsageError as e:
+        raise DataError(f"{path}: bad config block: {e}") from None
+    try:
+        seed, step, truncated, marker_channel = (int(train[k]) for k in _TRAIN_KEYS)
     except KeyError as e:
-        raise DataError(f"{path}: config block missing key {e}") from None
+        raise DataError(f"{path}: config block missing key 'train.{e.args[0]}'") from None
+    except ValueError as e:
+        raise DataError(f"{path}: bad train value: {e}") from None
+    if step < 0 or marker_channel not in (0, 1):
+        raise DataError(f"{path}: bad train values step={step} "
+                        f"marker_channel={marker_channel}")
 
-    state = init_state(model_config, opt_config, policy, seed, siamese=siamese,
-                       truncated=truncated)
+    state = init_state(model_config, opt_config, policy, seed, siamese=rc.siamese,
+                       truncated=bool(truncated))
     state.step = step
     state.marker_channel = marker_channel
     state.optimizer.t = step
+    expected = _settings_block(state)
+    if text != expected:
+        absent = [ln for ln in expected.splitlines() if ln not in text.splitlines()]
+        raise DataError(f"{path}: config block is not the text of its own settings"
+                        + (f"; missing {absent[0].split('  #')[0]!r}" if absent else ""))
     for tag, model in state.models():
         prefix = f"model_{tag}/"
         named = {k[len(prefix):]: v for k, v in tensors.items() if k.startswith(prefix)}

@@ -40,7 +40,7 @@ def default_kernel_schedule(levels):
 class UnetPPConfig:
     """Architecture settings; validated on construction."""
 
-    def __init__(self, levels=5, input_size=256, base_channels=16, kernel_schedule=None,
+    def __init__(self, levels, input_size, base_channels, kernel_schedule=None,
                  repeat_levels=None, repeat_seed=None, heads=None):
         self.levels = int(levels)
         self.input_size = int(input_size)
@@ -81,27 +81,6 @@ class UnetPPConfig:
 
     def side(self, level):
         return self.input_size // (2 ** level)
-
-    def to_dict(self):
-        return {
-            "levels": self.levels,
-            "input_size": self.input_size,
-            "base_channels": self.base_channels,
-            "kernel_schedule": ",".join(str(k) for k in self.kernel_schedule),
-            "repeat_levels": ",".join(str(i) for i in sorted(self.repeat_levels)),
-            "heads": ",".join(str(h) for h in self.heads),
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        def ints(s):
-            return [int(v) for v in s.split(",") if v != ""]
-
-        return cls(levels=int(d["levels"]), input_size=int(d["input_size"]),
-                   base_channels=int(d["base_channels"]),
-                   kernel_schedule=ints(d["kernel_schedule"]),
-                   repeat_levels=ints(d["repeat_levels"]),
-                   heads=ints(d["heads"]))
 
 
 class _Conv:
@@ -206,7 +185,7 @@ class UnetPP:
             raise ValueError(f"unknown head depth {depth}; available: {list(self.config.heads)}")
         return depth
 
-    def forward(self, x, depth=None, trace=None, debug=False):
+    def forward(self, x, depth=None, trace=None):
         """Probability map (B x 2 x S x S) from head(depth), deepest by default.
 
         Only nodes with i + j <= depth are evaluated, so a head's output is
@@ -238,11 +217,6 @@ class UnetPP:
                 proj = self._apply(proj_spec, up, trace)
                 fused = T.concat_channels([X[(i, jj)] for jj in range(j)] + [proj])
                 X[(i, j)] = self._apply(fuse_spec, fused, trace)
-        if debug:
-            for key, t in X.items():
-                c, s = self.shape_table[key]
-                got = t.data.shape[1:]
-                assert got == (c, s, s), f"shape table mismatch at {key}: {got} != {(c, s, s)}"
         logits = self._apply(self.head_plan[d], X[(0, d)], trace)
         if trace is not None:
             trace[f"head_{d}.logits"] = logits.data

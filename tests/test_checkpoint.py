@@ -31,7 +31,7 @@ def test_header_bytes(tmp_path):
     ckpt.save_checkpoint(p, "x=1\n", {})
     raw = open(p, "rb").read()
     assert raw[:4] == b"CLAM"
-    assert struct.unpack("<I", raw[4:8])[0] == 1
+    assert struct.unpack("<I", raw[4:8])[0] == 2
     assert struct.unpack("<I", raw[8:12])[0] == 4
     assert raw[12:16] == b"x=1\n"
     assert len(raw) == 16
@@ -86,6 +86,15 @@ def test_bad_version(tmp_path):
     p = tmp_path / "c.clam"
     p.write_bytes(b"CLAM" + struct.pack("<I", 9) + struct.pack("<I", 0))
     with pytest.raises(DataError, match="version"):
+        ckpt.load_checkpoint(str(p))
+
+
+def test_version_1_rejected(tmp_path):
+    # v1 files carry the older model./opt./policy. config block
+    p = tmp_path / "c.clam"
+    text = b"model.levels=2\n"
+    p.write_bytes(b"CLAM" + struct.pack("<I", 1) + struct.pack("<I", len(text)) + text)
+    with pytest.raises(DataError, match="unsupported checkpoint version 1"):
         ckpt.load_checkpoint(str(p))
 
 

@@ -1,11 +1,13 @@
 """End-to-end tests for the command-line interface."""
 
 import os
+import struct
 
 import numpy as np
 import pytest
 
-from clamseg import cli, config, manifest, pgm, trainer
+from clamseg import checkpoint, cli, config, manifest, pgm, trainer
+from clamseg.errors import DataError
 
 
 def _tree(root):
@@ -175,6 +177,75 @@ def test_pruned_checkpoint_reloads_truncated(ws, tmp_path):
     small = trainer.load_state(pruned_ckpt)
     assert small.model_a.truncated
     assert small.model_a.parameter_count() < full.model_a.parameter_count()
+
+
+def _settings_text(path):
+    text, _ = checkpoint.load_checkpoint(path)
+    return "".join(ln for ln in text.splitlines(keepends=True)
+                   if not ln.startswith("train."))
+
+
+def test_checkpoint_config_block_is_run_config_text(ws, tmp_path):
+    pruned_ckpt = str(tmp_path / "p.ckpt")
+    assert cli.main(["prune", "--ckpt", ws["ckpt"], "--out", pruned_ckpt,
+                     "--depth", "1"]) == 0
+    rc = config.parse_config(TINY_CFG)
+    pruned = trainer.prune_state(trainer.load_state(ws["ckpt"]), 1)
+    for path, model_config, opt_config, policy in [
+            (ws["ckpt"], config.to_model_config(rc), config.to_optimizer_config(rc),
+             config.to_policy(rc)),
+            (pruned_ckpt, pruned.model_config, pruned.opt_config, pruned.policy)]:
+        text = _settings_text(path)
+        # checkpoint_every steers the loop; the file does not record it
+        assert "checkpoint_every" not in text
+        saved = config.parse_config(text)
+        assert vars(config.to_model_config(saved)) == vars(model_config)
+        assert config.to_optimizer_config(saved) == opt_config
+        assert config.to_policy(saved) == policy
+    assert pruned.model_config.levels == 2
+
+
+def _rewrite_config_line(src, dst, key, value):
+    """Copy checkpoint src to dst with the config line of key set to value,
+    or dropped when value is None."""
+    text, tensors = checkpoint.load_checkpoint(src)
+    lines = text.splitlines(keepends=True)
+    hit = [i for i, ln in enumerate(lines) if ln.split("=", 1)[0].strip() == key]
+    assert len(hit) == 1, key
+    if value is None:
+        del lines[hit[0]]
+    else:
+        lines[hit[0]] = f"{key} = {value}\n"
+    checkpoint.save_checkpoint(dst, "".join(lines), tensors)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("levels", "x", "bad value 'x' for levels"),
+    ("lr", "-1", "learning rate must be positive"),
+    ("n_cross", "-4", "n_cross must be nonnegative"),
+    ("lr", None, "missing 'lr = 0.001'"),
+    ("train.truncated", None, "missing key 'train.truncated'"),
+    ("train.marker_channel", "7", "marker_channel=7"),
+], ids=["levels-not-int", "lr-negative", "n_cross-negative", "lr-missing",
+        "train-key-missing", "marker-channel-out-of-range"])
+def test_corrupt_config_block_is_a_data_error(ws, tmp_path, capsys, key, value, message):
+    bad = str(tmp_path / "bad.ckpt")
+    _rewrite_config_line(ws["ckpt"], bad, key, value)
+    with pytest.raises(DataError, match=message):
+        trainer.load_state(bad)
+    assert cli.main(["infer", "--ckpt", bad, "--image", ws["test_image"],
+                     "--out", str(tmp_path / "m.pgm")]) == 2
+    assert "data error" in capsys.readouterr().err
+
+
+def test_infer_rejects_version_1_checkpoint(ws, tmp_path, capsys):
+    with open(ws["ckpt"], "rb") as fh:
+        raw = fh.read()
+    v1 = tmp_path / "v1.ckpt"
+    v1.write_bytes(raw[:4] + struct.pack("<I", 1) + raw[8:])
+    assert cli.main(["infer", "--ckpt", str(v1), "--image", ws["test_image"],
+                     "--out", str(tmp_path / "m.pgm")]) == 2
+    assert "unsupported checkpoint version 1" in capsys.readouterr().err
 
 
 def test_preprocess_sizes_and_idempotence(tmp_path, capsys):

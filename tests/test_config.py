@@ -5,6 +5,7 @@ from dataclasses import fields
 import pytest
 
 from clamseg import config
+from clamseg.augment import PairPolicy
 from clamseg.errors import UsageError
 
 
@@ -138,3 +139,27 @@ def test_to_policy_rejects_bad_values():
         config.to_policy(config.parse_config("tile_size = 1\n"))
     with pytest.raises(UsageError, match="default_eta"):
         config.to_policy(config.parse_config("default_eta = 1.5\n"))
+
+
+def test_run_config_defaults_build_the_default_objects():
+    rc = config.RunConfig()
+    assert config.to_optimizer_config(rc) == config.OptimizerConfig()
+    assert config.to_policy(rc) == PairPolicy()
+
+
+def test_to_run_config_inverts_the_to_functions():
+    rc = config.parse_config("levels = 4\nbase_channels = 2\ntile_size = 16\n"
+                             "repeat_seed = 3\nheads = 1,3\noptimizer = sgd\n"
+                             "lr = 0.25\nn_cross = 0\ndefault_eta = 0.75\n"
+                             "siamese = true\ncheckpoint_every = 5\n")
+    mc = config.to_model_config(rc)
+    oc = config.to_optimizer_config(rc)
+    pol = config.to_policy(rc)
+    back = config.to_run_config(mc, oc, pol, rc.siamese)
+    assert vars(config.to_model_config(back)) == vars(mc)
+    assert config.to_optimizer_config(back) == oc
+    assert config.to_policy(back) == pol
+    assert back.siamese is True
+    # the drawn repeat levels are written out; the loop setting is not kept
+    assert back.repeat_seed == "" and back.checkpoint_every == 0
+    assert config.parse_config(config.format_config(back)) == back

@@ -62,7 +62,6 @@ def test_generate_layout_and_counts(tmp_path):
     assert len(total) == 10
     assert sum(r.label == "pos" for r in total) == 5
     assert os.path.exists(os.path.join(out, "eval_masks", "gen_params.tsv"))
-    assert os.path.exists(os.path.join(out, "eval_masks", "tile_eta.tsv"))
 
 
 def test_split_is_stratified(tmp_path):
@@ -101,46 +100,6 @@ def test_seed_changes_images(tmp_path):
     pa = open(os.path.join(a, "images", "img_0000.pgm"), "rb").read()
     pb = open(os.path.join(b, "images", "img_0000.pgm"), "rb").read()
     assert pa != pb
-
-
-def test_tile_rate_table_matches_direct_count(tmp_path):
-    out = str(tmp_path / "ds")
-    phantoms.generate_phantoms(out, 12, 0.5, seed=9, params=small_params(),
-                               eta_tile=16)
-    labels = {}
-    for split in M.SPLITS:
-        for rec in M.read_manifest(M.manifest_path(out, split)):
-            labels[os.path.basename(rec.image)] = rec.label
-    masks = [pgm.read_mask(os.path.join(out, "eval_masks", n))
-             for n in sorted(labels) if labels[n] == "pos"]
-
-    # independent count, no library call
-    want = {}
-    for r in range(4):
-        for c in range(4):
-            hits = 0
-            for m in masks:
-                if m[r * 16:(r + 1) * 16, c * 16:(c + 1) * 16].any():
-                    hits += 1
-            want[(r, c)] = hits
-
-    with open(os.path.join(out, "eval_masks", "tile_eta.tsv")) as fh:
-        lines = fh.read().splitlines()
-    assert lines[0] == "# tile_size\t16"
-    got = {}
-    for line in lines[2:]:
-        r, c, hits, n_pos, rate = line.split("\t")
-        assert int(n_pos) == len(masks)
-        got[(int(r), int(c))] = int(hits)
-        assert abs(float(rate) - int(hits) / len(masks)) < 1e-6
-    assert got == want
-
-
-def test_tile_rate_validation():
-    with pytest.raises(ValueError, match="divide"):
-        phantoms.tile_marker_rates([np.zeros((64, 64), dtype=bool)], 24)
-    with pytest.raises(ValueError, match="no masks"):
-        phantoms.tile_marker_rates([], 16)
 
 
 def test_generate_validation(tmp_path):

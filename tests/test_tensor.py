@@ -413,13 +413,6 @@ def test_nonfinite_forward_raises():
         big * big  # overflows float32 to inf
 
 
-def test_dump_lists_dims_then_values():
-    t = T.Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
-    lines = t.dump().strip().split("\n")
-    assert lines[0] == "2 2"
-    assert [float(v) for v in lines[1:]] == [1.0, 2.0, 3.0, 4.0]
-
-
 def test_gradient_dtype_follows_data_dtype():
     x64 = T.Tensor(np.ones(2), requires_grad=True, dtype=np.float64)
     T.backward((x64 * x64).sum())

@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from clamseg import augment, gradcheck, phantoms, trainer
+from clamseg import augment, gradcheck, losses, phantoms, trainer
 from clamseg import tensor as T
 from clamseg.errors import DataError, NonFiniteLossError
 from clamseg.manifest import Record, manifest_path, write_manifest
@@ -200,16 +200,40 @@ def test_pair_loss_terms_per_pair_values_match_single_pairs():
 
 # -- gradients vs finite differences ---------------------------------------
 
+def pair_batch(pairs, attr, dtype):
+    return T.Tensor(np.stack([getattr(p, attr) for p in pairs]).astype(dtype)[:, None])
+
+
+def capture_targets(model_a, model_b, pairs):
+    """Forward-only (P_A, P_B) batch arrays used as frozen targets."""
+    with T.no_grad():
+        return tuple(m.forward(pair_batch(pairs, attr, m.dtype)).data
+                     for m, attr in ((model_a, "slice_a"), (model_b, "slice_b")))
+
+
+def frozen_pair_loss(model_a, model_b, pairs, frozen):
+    """(total pair loss, relu signature) with the target branches fixed to the
+    captured ``frozen`` arrays.
+
+    The gradient equals that of the live loss (the stop-gradient branch
+    contributes none), but only the frozen form gives a finite-difference
+    probe a function of the probed parameter alone.
+    """
+    trace_a, trace_b = {}, {}
+    pa = model_a.forward(pair_batch(pairs, "slice_a", model_a.dtype), trace=trace_a)
+    pb = model_b.forward(pair_batch(pairs, "slice_b", model_b.dtype), trace=trace_b)
+    total, _ = losses.pair_batch_loss(pa, pb, [p.kind == "cross" for p in pairs],
+                                      [p.eta for p in pairs], targets=frozen)
+    return total, gradcheck._relu_signature(trace_a) + gradcheck._relu_signature(trace_b)
+
+
 def frozen_loss_fn(model, name, model_a, model_b, pairs, frozen):
     orig = model.params[name]
 
     def f(t):
         model.params[name] = t
         try:
-            tr = {}
-            total, _ = trainer.pair_loss_terms(model_a, model_b, pairs,
-                                               frozen_targets=frozen, trace=tr)
-            return total, gradcheck._relu_signature(tr)
+            return frozen_pair_loss(model_a, model_b, pairs, frozen)
         finally:
             model.params[name] = orig
 
@@ -224,7 +248,7 @@ def test_single_pair_gradient_matches_finite_differences(kind):
     sa = phantom_slice(11, dtype=np.float64)
     sb, _ = augment.blur(sa, derive_rng(12, "fd"))
     pairs = [pair_of(kind, sa, sb, eta=0.75)]
-    frozen = trainer.capture_targets(ma, mb, pairs)
+    frozen = capture_targets(ma, mb, pairs)
 
     checked = skipped = 0
     for model in (ma, mb):
@@ -250,7 +274,7 @@ def test_mixed_pair_batch_gradient_matches_finite_differences():
     sb, _ = augment.blur(sa, derive_rng(16, "fd"))
     sc = phantom_slice(17, dtype=np.float64)
     pairs = [pair_of("augment", sa, sb, eta=0.75), pair_of("cross", sb, sc, eta=0.4)]
-    frozen = trainer.capture_targets(ma, mb, pairs)
+    frozen = capture_targets(ma, mb, pairs)
     assert frozen[0].shape == frozen[1].shape == (2, 2, 8, 8)
 
     checked = skipped = 0
@@ -275,9 +299,9 @@ def test_frozen_targets_reproduce_live_loss_value():
     sb = phantom_slice(14, dtype=np.float64)
     for kind in ("augment", "cross"):
         pairs = [pair_of(kind, sa, sb, eta=1.0)]
-        frozen = trainer.capture_targets(ma, mb, pairs)
+        frozen = capture_targets(ma, mb, pairs)
         live, _ = trainer.pair_loss_terms(ma, mb, pairs)
-        froz, _ = trainer.pair_loss_terms(ma, mb, pairs, frozen_targets=frozen)
+        froz, _ = frozen_pair_loss(ma, mb, pairs, frozen)
         assert froz.item() == pytest.approx(live.item(), abs=1e-12)
 
 

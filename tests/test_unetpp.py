@@ -26,9 +26,9 @@ def test_default_kernel_schedule():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        UnetPPConfig(levels=1, input_size=8)
+        UnetPPConfig(levels=1, input_size=8, base_channels=2)
     with pytest.raises(ValueError):
-        UnetPPConfig(levels=4, input_size=20)  # 20 not divisible by 8
+        UnetPPConfig(levels=4, input_size=20, base_channels=2)  # 20 not divisible by 8
     with pytest.raises(ValueError):
         small_cfg(kernel_schedule=[3])
     with pytest.raises(ValueError):
@@ -88,10 +88,16 @@ def test_channel_doubling_through_stride2_conv():
 def test_forward_softmax_output_and_debug_shapes():
     cfg = UnetPPConfig(levels=3, input_size=16, base_channels=2)
     model = UnetPP(cfg, seed=3)
-    out = model.forward(rand_input(np.random.default_rng(1), 16), debug=True)
+    trace = {}
+    out = model.forward(rand_input(np.random.default_rng(1), 16), trace=trace)
     assert out.shape == (1, 2, 16, 16)
     np.testing.assert_allclose(out.data.sum(axis=1), 1.0, atol=1e-6)
     assert out.data.min() > 0 and out.data.max() < 1
+    # a node's output is the relu of its last stride-1 conv
+    assert len(model.node_plan) == 6
+    for key, convs in model.node_plan.items():
+        c, s = model.shape_table[key]
+        assert trace[convs[-1].name + ".pre"].shape == (1, c, s, s), key
 
 
 def test_depth_limits_evaluated_nodes():
