@@ -146,10 +146,15 @@ def no_grad():
         _recording = prev
 
 
+def _needs_grad(t):
+    """True when backward must deliver a gradient to ``t``: a leaf or a tape node."""
+    return t.requires_grad or t._node is not None
+
+
 def _result(data, op, parents, grad_fn):
     _check_finite(data, op)
     out = Tensor(data)
-    if _recording and any(p.requires_grad or p._node is not None for p in parents):
+    if _recording and any(_needs_grad(p) for p in parents):
         out._node = TapeNode(op, tuple(parents), grad_fn)
     return out
 
@@ -192,9 +197,16 @@ def mul(a, b):
     with np.errstate(over="ignore"):
         out = a.data * b.data
 
+    needs_ga, needs_gb = _needs_grad(a), _needs_grad(b)
+
     def grad_fn(g):
-        ga = g * b.data
-        gb = (g * a.data).sum(dtype=g.dtype).reshape(()) if scalar else g * a.data
+        ga = g * b.data if needs_ga else None
+        if not needs_gb:
+            gb = None
+        elif scalar:
+            gb = (g * a.data).sum(dtype=g.dtype).reshape(())
+        else:
+            gb = g * a.data
         return ga, gb
 
     return _result(out, "mul", (a, b), grad_fn)
@@ -235,25 +247,31 @@ def clamp_min(x, floor):
 def bounded_ratio(y, p):
     """Elementwise y*p / (y^2 + p^2) with the convention 0/0 := 0.
 
-    Smooth away from (0, 0); at exactly (0, 0) both the value and both
-    partial derivatives are defined as 0, which makes all-zero target
-    entries fully inert.  Intermediates are float64: in float32 the square of
-    y^2 + p^2 in the partials underflows to 0 once y and p fall below about
-    1e-11.
+    Smooth away from (0, 0).  Where |y| and |p| are both below the dtype's
+    smallest normal number (0 included) the value and both partial
+    derivatives are defined as 0: all-zero target entries are fully inert,
+    and so are subnormal points, whose partials (about 1 / max(|y|, |p|))
+    would overflow float32.  Intermediates are float64: in float32 the square
+    of y^2 + p^2 in the partials underflows to 0 once y and p fall below
+    about 1e-11.
     """
     _same_shape(y, p, "bounded_ratio")
     dt = y.data.dtype
     yd = np.asarray(y.data, dtype=np.float64)
     pd = np.asarray(p.data, dtype=np.float64)
     denom = yd * yd + pd * pd
-    live = denom > 0
+    live = np.maximum(np.abs(yd), np.abs(pd)) >= np.finfo(dt).tiny
     safe = np.where(live, denom, 1)
     out = np.where(live, yd * pd / safe, 0).astype(dt)
+    needs_gy, needs_gp = _needs_grad(y), _needs_grad(p)
 
     def grad_fn(g):
         sq = safe * safe
-        gy = (np.where(live, pd * (pd * pd - yd * yd) / sq, 0) * g).astype(dt)
-        gp = (np.where(live, yd * (yd * yd - pd * pd) / sq, 0) * g).astype(dt)
+        gy = gp = None
+        if needs_gy:
+            gy = (np.where(live, pd * (pd * pd - yd * yd) / sq, 0) * g).astype(dt)
+        if needs_gp:
+            gp = (np.where(live, yd * (yd * yd - pd * pd) / sq, 0) * g).astype(dt)
         return gy, gp
 
     return _result(out, "bounded_ratio", (y, p), grad_fn)
@@ -322,12 +340,41 @@ def softmax_channels(x):
     return _result(p, "softmax_channels", (x,), grad_fn)
 
 
+def _im2col(a, k, stride, pad):
+    """(B, C*k*k, Ho*Wo) columns of the k x k windows of ``a`` zero-padded by ``pad``.
+
+    A negative ``pad`` crops that many pixels from each side instead.
+    """
+    B, C, H, W = a.shape
+    if pad > 0:
+        # a zeroed buffer plus one slice copy: 2-7x faster than np.pad at the model's shapes
+        padded = np.zeros((B, C, H + 2 * pad, W + 2 * pad), dtype=a.dtype)
+        padded[:, :, pad:pad + H, pad:pad + W] = a
+        a = padded
+    elif pad < 0:
+        a = a[:, :, -pad:pad, -pad:pad]
+    H, W = a.shape[2:]
+    Ho = (H - k) // stride + 1
+    Wo = (W - k) // stride + 1
+    s0, s1, s2, s3 = a.strides
+    cols = np.lib.stride_tricks.as_strided(
+        a, (B, C, k, k, Ho, Wo), (s0, s1, s2, s3, s2 * stride, s3 * stride), writeable=False)
+    return cols.reshape(B, C * k * k, Ho * Wo)
+
+
 def conv2d(x, w, b=None, stride=1, padding=0):
     """2-d cross-correlation of B x Cin x H x W with Cout x Cin x k x k.
 
     Square kernels; stride 1 or 2.  With same-padding (k - 1) / 2 the output
     side is ceil(H / stride).  Gradients are recorded for input, kernel and
-    bias.
+    bias; the input gradient is None when the input is plain data.
+
+    Backward: the kernel gradient is one product of the forward columns with
+    the upstream gradient per sample, summed over the batch.  At stride 1 the
+    input gradient is the stride-1 correlation of the upstream gradient,
+    padded by k - 1 - padding (cropped where that is negative), with the
+    flipped, channel-transposed kernel.  At stride 2 it scatters the column
+    gradient back over the k x k window offsets.
     """
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise ValueError("conv2d: input and kernel must be rank 4")
@@ -354,27 +401,30 @@ def conv2d(x, w, b=None, stride=1, padding=0):
     if Ho <= 0 or Wo <= 0:
         raise ValueError(f"conv2d: non-positive output dims {Ho}x{Wo}")
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    s0, s1, s2, s3 = xp.strides
-    cols = np.lib.stride_tricks.as_strided(
-        xp, (B, Cin, k, k, Ho, Wo),
-        (s0, s1, s2, s3, s2 * stride, s3 * stride), writeable=False)
-    colm = cols.reshape(B, Cin * k * k, Ho * Wo)
+    colm = _im2col(x.data, k, stride, padding)
     wm = w.data.reshape(Cout, Cin * k * k)
     with np.errstate(over="ignore", invalid="ignore"):
         out = np.matmul(wm, colm).reshape(B, Cout, Ho, Wo)
         if b is not None:
-            out = out + b.data[None, :, None, None]
+            out += b.data[None, :, None, None]
+    needs_gx = _needs_grad(x)
 
     def grad_fn(g):
         gm = g.reshape(B, Cout, Ho * Wo)
-        gw = np.matmul(gm, colm.transpose(0, 2, 1)).sum(axis=0).reshape(w.data.shape)
-        gcols = np.matmul(wm.T, gm).reshape(B, Cin, k, k, Ho, Wo)
-        gxp = np.zeros_like(xp)
-        for i in range(k):
-            for j in range(k):
-                gxp[:, :, i:i + Ho * stride:stride, j:j + Wo * stride:stride] += gcols[:, :, i, j]
-        gx = gxp[:, :, padding:padding + H, padding:padding + W]
+        gw = np.matmul(colm, gm.transpose(0, 2, 1)).sum(axis=0).T.reshape(w.data.shape)
+        if not needs_gx:
+            gx = None
+        elif stride == 1:
+            wt = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(Cin, Cout * k * k)
+            gx = np.matmul(wt, _im2col(g, k, 1, k - 1 - padding)).reshape(B, Cin, H, W)
+        else:
+            # correlating a zero-dilated gradient measured 2.5x slower at the downsampler shapes
+            gcols = np.matmul(wm.T, gm).reshape(B, Cin, k, k, Ho, Wo)
+            gxp = np.zeros((B, Cin, H + 2 * padding, W + 2 * padding), dtype=g.dtype)
+            for i in range(k):
+                for j in range(k):
+                    gxp[:, :, i:i + Ho * stride:stride, j:j + Wo * stride:stride] += gcols[:, :, i, j]
+            gx = gxp[:, :, padding:padding + H, padding:padding + W]
         if b is None:
             return gx, gw
         return gx, gw, g.sum(axis=(0, 2, 3))

@@ -6,8 +6,10 @@ import warnings
 import numpy as np
 import pytest
 
+from clamseg import losses
 from clamseg import tensor as T
 from clamseg.errors import NumericError
+from clamseg.unetpp import UnetPP, UnetPPConfig
 
 
 # ---------------------------------------------------------------------------
@@ -30,6 +32,27 @@ def conv_window_oracle(x, w, b=None, stride=1, padding=0):
             if b is not None:
                 out[bi, co] += b[co]
     return out
+
+
+def conv_grads_scatter_oracle(x, w, g, stride=1, padding=0):
+    """(gx, gw, gb) of a conv by scattering the column gradient over the k x k offsets."""
+    B, Cin, H, W = x.shape
+    Cout, _, k, _ = w.shape
+    _, _, Ho, Wo = g.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    cols = np.zeros((B, Cin, k, k, Ho, Wo), dtype=x.dtype)
+    for i in range(k):
+        for j in range(k):
+            cols[:, :, i, j] = xp[:, :, i:i + Ho * stride:stride, j:j + Wo * stride:stride]
+    colm = cols.reshape(B, Cin * k * k, Ho * Wo)
+    gm = g.reshape(B, Cout, Ho * Wo)
+    gw = np.matmul(gm, colm.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+    gcols = np.matmul(w.reshape(Cout, -1).T, gm).reshape(B, Cin, k, k, Ho, Wo)
+    gxp = np.zeros_like(xp)
+    for i in range(k):
+        for j in range(k):
+            gxp[:, :, i:i + Ho * stride:stride, j:j + Wo * stride:stride] += gcols[:, :, i, j]
+    return gxp[:, :, padding:padding + H, padding:padding + W], gw, g.sum(axis=(0, 2, 3))
 
 
 def up2x_scalar_oracle(x):
@@ -169,6 +192,95 @@ def test_conv2d_gradients_match_finite_differences(stride, padding):
     assert_grads_close(tb.grad, fd_grad(run, b))
 
 
+@pytest.mark.parametrize("k,stride,padding", [
+    (k, stride, padding) for k in (1, 2, 3, 5) for stride in (1, 2)
+    for padding in sorted({0, (k - 1) // 2, k - 1, k})])
+def test_conv2d_gradients_against_random_upstream(k, stride, padding):
+    # a random upstream gradient (not a sum) exposes a kernel flip or a
+    # channel transpose in the backward rule; odd side 15 at stride 2
+    rng = np.random.default_rng(1000 + 100 * k + 10 * stride + padding)
+    side = 15 if stride == 2 else 6
+    x = rng.standard_normal((2, 2, side, side))
+    w = rng.standard_normal((3, 2, k, k))
+    b = rng.standard_normal(3)
+    Ho = (side + 2 * padding - k) // stride + 1
+    g = rng.standard_normal((2, 3, Ho, Ho))
+
+    tx, tw, tb = (T.Tensor(a, requires_grad=True, dtype=np.float64) for a in (x, w, b))
+    out = T.conv2d(tx, tw, tb, stride=stride, padding=padding)
+    assert out.shape == g.shape
+    T.backward((out * T.Tensor(g, dtype=np.float64)).sum())
+
+    def run():
+        out = T.conv2d(T.Tensor(x, dtype=np.float64), T.Tensor(w, dtype=np.float64),
+                       T.Tensor(b, dtype=np.float64), stride=stride, padding=padding)
+        return float((out.data * g).sum())
+
+    assert_grads_close(tx.grad, fd_grad(run, x))
+    assert_grads_close(tw.grad, fd_grad(run, w))
+    assert_grads_close(tb.grad, fd_grad(run, b))
+    for got, want in zip((tx.grad, tw.grad, tb.grad),
+                         conv_grads_scatter_oracle(x, w, g, stride, padding)):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def test_conv2d_plain_input_gets_no_gradient():
+    rng = np.random.default_rng(41)
+    x = T.Tensor(rng.standard_normal((2, 2, 5, 5)))
+    w = T.Tensor(rng.standard_normal((3, 2, 3, 3)), requires_grad=True)
+    b = T.Tensor(rng.standard_normal(3), requires_grad=True)
+    g = rng.standard_normal((2, 3, 5, 5))
+    for stride in (1, 2):
+        out = T.conv2d(x, w, b, stride=stride, padding=1)
+        gx, gw, gb = out._node.grad_fn(g[:, :, ::stride, ::stride])
+        assert gx is None
+        assert gw.shape == w.shape and gb.shape == b.shape
+    # an input that is itself on the tape still gets one
+    h = T.relu(T.Tensor(x.data, requires_grad=True))
+    gx, _, _ = T.conv2d(h, w, b, padding=1)._node.grad_fn(g)
+    assert gx.shape == x.shape
+
+
+def test_conv2d_float32_backward_matches_float64_on_unetpp_step():
+    # one B=8 hybrid-loss backward through the criterion-6 lattice; float32
+    # gradients from the correlation backward agree with float64 and with
+    # the scatter backward, parameter by parameter
+    cfg = UnetPPConfig(levels=3, input_size=32, base_channels=8)
+    rng = np.random.default_rng(51)
+    x = rng.uniform(0, 1, (8, 1, 32, 32))
+    target = rng.uniform(0, 1, (8, 32, 32)) > 0.7
+
+    def step_grads(dtype, scatter=False):
+        model = UnetPP(cfg, seed=5, dtype=dtype)
+        if dtype == np.float64:
+            model.load_state(UnetPP(cfg, seed=5).state_arrays())
+        conv2d = T.conv2d
+
+        def scatter_conv2d(xt, wt, bt=None, stride=1, padding=0):
+            out = conv2d(xt, wt, bt, stride=stride, padding=padding)
+            if out._node is not None:
+                out._node.grad_fn = lambda g: conv_grads_scatter_oracle(
+                    xt.data, wt.data, g, stride, padding)
+            return out
+
+        with pytest.MonkeyPatch.context() as mp:
+            if scatter:
+                mp.setattr(T, "conv2d", scatter_conv2d)
+            prob = model.forward(T.Tensor(x.astype(np.float32).astype(dtype)))
+            T.backward(losses.hybrid_loss(losses.one_hot_target(target, dtype=dtype), prob))
+        return {name: t.grad for name, t in model.parameter_items()}
+
+    g32, g64, g32_scatter = step_grads(np.float32), step_grads(np.float64), step_grads(np.float32, True)
+    assert len(g32) == len(g64)
+    for name, ref in g64.items():
+        scale = np.abs(ref).max()
+        if scale == 0:  # heads of the shallower depths are not on this graph
+            assert not g32[name].any() and name.startswith("head_"), name
+            continue
+        assert np.abs(g32[name] - ref).max() <= 1e-4 * scale, name
+        assert np.abs(g32[name] - g32_scatter[name]).max() <= 1e-4 * scale, name
+
+
 # ---------------------------------------------------------------------------
 # bilinear upsampling
 
@@ -286,6 +398,36 @@ def test_bounded_ratio_tiny_float32_stays_finite():
     for g in (y.grad, p.grad):
         assert g.dtype == np.float32
         assert np.isfinite(g).all()
+
+
+def test_bounded_ratio_subnormal_float32_into_softmax_stays_finite():
+    # y and p below float32's smallest normal number (1.2e-38) are the inert
+    # 0/0 case; their partials would grow past the float32 range otherwise,
+    # and softmax_channels' backward would turn the inf into NaN
+    z = T.Tensor(np.array([0.0, -90.5], dtype=np.float32).reshape(1, 2, 1, 1), requires_grad=True)
+    p = T.softmax_channels(z)
+    assert 0 < p.data[0, 1, 0, 0] < np.finfo(np.float32).tiny
+    y = T.Tensor(np.array([1.0, 1e-39], dtype=np.float32).reshape(1, 2, 1, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = T.bounded_ratio(y, p)
+        T.backward(out.sum())
+    assert out.data[0, 1, 0, 0] == 0
+    assert np.isfinite(z.grad).all()
+
+
+def test_constant_operands_get_no_gradient():
+    rng = np.random.default_rng(13)
+    a = T.Tensor(rng.uniform(0.5, 1, 4), requires_grad=True)
+    c = T.Tensor(rng.uniform(0.5, 1, 4))
+    g = np.ones(4)
+    assert T.mul(a, c)._node.grad_fn(g)[1] is None
+    assert T.mul(c, a)._node.grad_fn(g)[0] is None
+    assert T.mul(a, 2.0)._node.grad_fn(g)[1] is None
+    gy, gp = T.bounded_ratio(c, a)._node.grad_fn(g)
+    assert gy is None and gp.shape == (4,)
+    gy, gp = T.bounded_ratio(a, c)._node.grad_fn(g)
+    assert gy.shape == (4,) and gp is None
 
 
 def test_softmax_channels_uniform_and_shift_invariance():
