@@ -10,7 +10,7 @@ import os
 import sys
 
 from . import augment, config, gradcheck, metrics, pgm, phantoms, preprocess, trainer
-from .errors import DataError, NumericError, UsageError
+from .errors import DataError, NonFiniteLossError, NumericError, UsageError
 
 
 def build_parser():
@@ -179,6 +179,12 @@ def _cmd_prune(args):
     return 0
 
 
+def _draws_text(draws):
+    """``side.name=value`` pairs of a pair's augmentation draws, ';'-joined."""
+    return ";".join(f"{side}.{k}={v}" for side in sorted(draws)
+                    for k, v in sorted(draws[side].items()))
+
+
 def _cmd_dump_pairs(args):
     rc = _load_run_config(args.config)
     policy = config.to_policy(rc)
@@ -190,10 +196,8 @@ def _cmd_dump_pairs(args):
         stem = f"pair_{i:03d}_{p.kind}"
         pgm.write_unit(os.path.join(args.out, stem + "_a.pgm"), p.slice_a)
         pgm.write_unit(os.path.join(args.out, stem + "_b.pgm"), p.slice_b)
-        draws = ";".join(f"{side}.{k}={v}" for side in sorted(p.draws)
-                         for k, v in sorted(p.draws[side].items()))
         lines.append(f"{i}\t{p.kind}\t{p.source_a}\t{p.source_b}"
-                     f"\t{p.coords[0]},{p.coords[1]}\t{p.eta:.6g}\t{draws}")
+                     f"\t{p.coords[0]},{p.coords[1]}\t{p.eta:.6g}\t{_draws_text(p.draws)}")
     with open(os.path.join(args.out, "pairs.tsv"), "w", encoding="ascii") as fh:
         fh.write("index\tkind\tsource_a\tsource_b\ttile\teta\tdraws\n")
         for line in lines:
@@ -249,6 +253,11 @@ def main(argv=None):
         return 2
     except NumericError as e:
         print(f"numeric failure: {e}", file=sys.stderr)
+        if isinstance(e, NonFiniteLossError):
+            for i, p in enumerate(e.provenance or ()):
+                print(f"pair {i}: kind={p['kind']} sources={p['source_a']},{p['source_b']}"
+                      f" tile={p['coords'][0]},{p['coords'][1]} eta={p['eta']:.6g}"
+                      f" draws={_draws_text(p['draws'])}", file=sys.stderr)
         return 3
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)

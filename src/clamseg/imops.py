@@ -6,6 +6,8 @@ coordinate ``(j + 0.5) * in / out - 0.5`` with clamped neighbor gather.
 Integer sizing decisions use round-half-up, floor(x + 0.5).
 """
 
+from functools import lru_cache
+
 import numpy as np
 from scipy import ndimage
 
@@ -15,33 +17,41 @@ def round_half_up(x):
     return int(np.floor(float(x) + 0.5))
 
 
+@lru_cache(maxsize=128)
 def _axis_taps(n_in, n_out):
+    """(i0, i1, t) of one axis, read-only: output j = (1 - t[j]) * x[i0[j]] + t[j] * x[i1[j]].
+
+    Bounded, because preprocessing resizes crops of arbitrary sides.
+    """
     dst = np.arange(n_out)
     src = (dst + 0.5) * (n_in / n_out) - 0.5
     f = np.floor(src)
     t = src - f
     i0 = np.clip(f, 0, n_in - 1).astype(np.intp)
     i1 = np.clip(f + 1, 0, n_in - 1).astype(np.intp)
+    for a in (i0, i1, t):
+        a.flags.writeable = False
     return i0, i1, t
 
 
 def bilinear_resize(img, out_hw):
-    """Resize a 2-d float array to (out_h, out_w), half-pixel centers."""
+    """Resize a 2-d float array to (out_h, out_w), half-pixel centers.
+
+    Separable: one two-tap lerp along the rows, then one along the columns.
+    """
     img = np.asarray(img)
     if img.ndim != 2:
         raise ValueError(f"bilinear_resize expects a 2-d array, got shape {img.shape}")
     out_h, out_w = int(out_hw[0]), int(out_hw[1])
     if out_h < 1 or out_w < 1:
         raise ValueError(f"bad output size {out_hw}")
+    dtype = img.dtype if img.dtype.kind == "f" else np.float64
     r0, r1, tr = _axis_taps(img.shape[0], out_h)
     c0, c1, tc = _axis_taps(img.shape[1], out_w)
-    tr = tr[:, None].astype(img.dtype if img.dtype.kind == "f" else np.float64)
-    tc = tc[None, :].astype(tr.dtype)
-    a = img[r0][:, c0] * (1 - tr) * (1 - tc)
-    b = img[r0][:, c1] * (1 - tr) * tc
-    c = img[r1][:, c0] * tr * (1 - tc)
-    d = img[r1][:, c1] * tr * tc
-    return a + b + c + d
+    tr = tr[:, None].astype(dtype)
+    tc = tc.astype(dtype)
+    rows = img[r0] * (1 - tr) + img[r1] * tr
+    return rows[:, c0] * (1 - tc) + rows[:, c1] * tc
 
 
 def pad_center(img, out_h, out_w, fill=0.0):

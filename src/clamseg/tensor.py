@@ -362,6 +362,58 @@ def _im2col(a, k, stride, pad):
     return cols.reshape(B, C * k * k, Ho * Wo)
 
 
+# Smallest per-sample column count Cin*k*k*Ho*Wo that takes the tap path.
+# The tap path makes k*k small products where im2col makes one copy and one
+# product, so its fixed cost per call is higher.  Forward + backward on one
+# BLAS thread (2-vCPU x86 VM), float32, B = 8: the tap path is 1.1-1.5x
+# slower at 9216-18432 columns and 1.1-1.7x faster on the criterion-6
+# lattice's stride-1 convs (36864-221184 columns).  At gradcheck's float64
+# shapes (<= 2304 columns) it is 2-3x slower.
+_TAP_MIN_COLS = 32768
+
+
+def _flat_pad(a, pad, k):
+    """(buffer, Wp): ``a`` zero-padded by ``pad``, each sample's rows end to end.
+
+    The buffer is (B, C, Hp*Wp + k - 1); the k - 1 trailing zeros let tap
+    (i, j) of a k x k correlation be the contiguous slice that starts at
+    ``i*Wp + j`` and is ``Ho*Wp`` long.  A negative ``pad`` crops instead.
+    """
+    if pad < 0:
+        a = a[:, :, -pad:pad, -pad:pad]
+        pad = 0
+    B, C, H, W = a.shape
+    Hp, Wp = H + 2 * pad, W + 2 * pad
+    buf = np.zeros((B, C, Hp * Wp + k - 1), dtype=a.dtype)
+    buf[:, :, :Hp * Wp].reshape(B, C, Hp, Wp)[:, :, pad:pad + H, pad:pad + W] = a
+    return buf, Wp
+
+
+def _tap_slices(buf, Wp, k, n):
+    """(i, j, slice) for the k x k taps: the n columns of ``buf`` from i*Wp + j."""
+    for i in range(k):
+        for j in range(k):
+            yield i, j, buf[:, :, i * Wp + j:i * Wp + j + n]
+
+
+def _tap_correlate(buf, Wp, taps):
+    """Stride-1 correlation of a ``_flat_pad`` buffer with taps (k, k, Cout, Cin).
+
+    Sums one product per tap and crops the k - 1 junk columns that each
+    output row picks up from the next padded row.
+    """
+    k, _, Cout, _ = taps.shape
+    B = buf.shape[0]
+    Ho = (buf.shape[2] - k + 1) // Wp - k + 1
+    slices = _tap_slices(buf, Wp, k, Ho * Wp)
+    i, j, sl = next(slices)
+    out = np.matmul(taps[i, j], sl)
+    tmp = np.empty_like(out)
+    for i, j, sl in slices:
+        out += np.matmul(taps[i, j], sl, out=tmp)
+    return np.ascontiguousarray(out.reshape(B, Cout, Ho, Wp)[:, :, :, :Wp - k + 1])
+
+
 def conv2d(x, w, b=None, stride=1, padding=0):
     """2-d cross-correlation of B x Cin x H x W with Cout x Cin x k x k.
 
@@ -369,12 +421,24 @@ def conv2d(x, w, b=None, stride=1, padding=0):
     side is ceil(H / stride).  Gradients are recorded for input, kernel and
     bias; the input gradient is None when the input is plain data.
 
-    Backward: the kernel gradient is one product of the forward columns with
-    the upstream gradient per sample, summed over the batch.  At stride 1 the
-    input gradient is the stride-1 correlation of the upstream gradient,
-    padded by k - 1 - padding (cropped where that is negative), with the
-    flipped, channel-transposed kernel.  At stride 2 it scatters the column
-    gradient back over the k x k window offsets.
+    Two paths compute the same correlation.  A stride-1 conv with k > 1 whose
+    per-sample column count Cin*k*k*Ho*Wo reaches ``_TAP_MIN_COLS`` takes the
+    tap path: the input is zero-padded once into a row-flattened buffer
+    (``_flat_pad``) and the output is the sum of k*k kernel-tap products
+    with shifted slices of it.  Every other conv takes the im2col path: one
+    product of the flattened kernel with the (B, Cin*k*k, Ho*Wo) window
+    columns.  The two round differently, so the choice depends on the
+    sample's shape only, never on B: a sample run alone takes the same path
+    as in a batch and gets the same bits.
+
+    Backward: the kernel gradient is, per sample and summed over the batch,
+    the product of the upstream gradient with the forward columns (im2col) or
+    with each tap's buffer slice (taps, the gradient laid out with the
+    buffer's row width and junk columns zeroed).  At stride 1 the input
+    gradient is the stride-1 correlation of the upstream gradient, padded by
+    k - 1 - padding (cropped where that is negative), with the flipped,
+    channel-transposed kernel, on the same path as the forward.  At stride 2
+    it scatters the column gradient back over the k x k window offsets.
     """
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise ValueError("conv2d: input and kernel must be rank 4")
@@ -401,19 +465,37 @@ def conv2d(x, w, b=None, stride=1, padding=0):
     if Ho <= 0 or Wo <= 0:
         raise ValueError(f"conv2d: non-positive output dims {Ho}x{Wo}")
 
-    colm = _im2col(x.data, k, stride, padding)
-    wm = w.data.reshape(Cout, Cin * k * k)
+    taps = stride == 1 and k > 1 and Cin * k * k * Ho * Wo >= _TAP_MIN_COLS
     with np.errstate(over="ignore", invalid="ignore"):
-        out = np.matmul(wm, colm).reshape(B, Cout, Ho, Wo)
+        if taps:
+            buf, Wp = _flat_pad(x.data, padding, k)
+            # contiguous (Cout, Cin) tap blocks: a strided w[:, :, i, j] misses BLAS
+            out = _tap_correlate(buf, Wp, w.data.transpose(2, 3, 0, 1).copy())
+        else:
+            colm = _im2col(x.data, k, stride, padding)
+            wm = w.data.reshape(Cout, Cin * k * k)
+            out = np.matmul(wm, colm).reshape(B, Cout, Ho, Wo)
         if b is not None:
             out += b.data[None, :, None, None]
     needs_gx = _needs_grad(x)
 
     def grad_fn(g):
         gm = g.reshape(B, Cout, Ho * Wo)
-        gw = np.matmul(colm, gm.transpose(0, 2, 1)).sum(axis=0).T.reshape(w.data.shape)
+        if taps:
+            gflat = np.zeros((B, Cout, Ho, Wp), dtype=g.dtype)
+            gflat[:, :, :, :Wo] = g
+            gt = gflat.reshape(B, Cout, Ho * Wp).transpose(0, 2, 1)
+            per_sample = np.empty((k, k, B, Cin, Cout), dtype=g.dtype)
+            for i, j, sl in _tap_slices(buf, Wp, k, Ho * Wp):
+                np.matmul(sl, gt, out=per_sample[i, j])
+            gw = per_sample.sum(axis=2).transpose(3, 2, 0, 1)
+        else:
+            gw = np.matmul(colm, gm.transpose(0, 2, 1)).sum(axis=0).T.reshape(w.data.shape)
         if not needs_gx:
             gx = None
+        elif taps:
+            gbuf, gWp = _flat_pad(g, k - 1 - padding, k)
+            gx = _tap_correlate(gbuf, gWp, w.data[:, :, ::-1, ::-1].transpose(2, 3, 1, 0).copy())
         elif stride == 1:
             wt = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(Cin, Cout * k * k)
             gx = np.matmul(wt, _im2col(g, k, 1, k - 1 - padding)).reshape(B, Cin, H, W)

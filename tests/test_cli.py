@@ -6,8 +6,8 @@ import struct
 import numpy as np
 import pytest
 
-from clamseg import checkpoint, cli, config, manifest, pgm, trainer
-from clamseg.errors import DataError
+from clamseg import augment, checkpoint, cli, config, manifest, pgm, trainer
+from clamseg.errors import DataError, NonFiniteLossError
 
 
 def _tree(root):
@@ -324,3 +324,24 @@ def test_gradcheck_failure_exits_3(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert "FAIL" in captured.out
     assert "numeric failure" in captured.err
+
+
+def test_nonfinite_loss_prints_pair_provenance(monkeypatch, tmp_path, capsys):
+    tile = np.zeros((4, 4), dtype=np.float32)
+    pairs = [augment.PairSample("augment", tile, tile, 1.0, "img_003", "img_003", (1, 0),
+                                {"b": {"flip": 1, "angle": 12.5}}),
+             augment.PairSample("cross", tile, tile, 0.4, "img_001", "img_007", (0, 2),
+                                {"a": {"gamma": 0.9}, "b": {"flip": 0}})]
+
+    def fake(**kwargs):
+        raise NonFiniteLossError("non-finite loss at step 3: boom",
+                                 provenance=[trainer._pair_provenance(p) for p in pairs])
+
+    monkeypatch.setattr(cli.trainer, "run_training", fake)
+    assert cli.main(["train", "--data", str(tmp_path), "--out", str(tmp_path / "m.ckpt"),
+                     "--steps", "1", "--seed", "0"]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "numeric failure: non-finite loss at step 3: boom",
+        "pair 0: kind=augment sources=img_003,img_003 tile=1,0 eta=1 draws=b.angle=12.5;b.flip=1",
+        "pair 1: kind=cross sources=img_001,img_007 tile=0,2 eta=0.4 draws=a.gamma=0.9;b.flip=0",
+    ]

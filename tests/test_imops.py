@@ -52,12 +52,25 @@ def test_round_half_up():
 
 
 @pytest.mark.parametrize("shape,out", [((4, 6), (8, 3)), ((5, 5), (7, 7)),
-                                       ((3, 4), (3, 4)), ((6, 2), (2, 6))])
+                                       ((3, 4), (3, 4)), ((6, 2), (2, 6)),
+                                       ((64, 64), (58, 58)), ((51, 51), (64, 64))])
 def test_resize_matches_scalar_oracle(shape, out):
+    # 64 -> 58 and 51 -> 64 are augmentation zoom sizes; an integer image
+    # resizes in float64
     rng = np.random.default_rng(sum(shape) * 10 + sum(out))
     img = rng.uniform(0, 1, shape)
-    got = imops.bilinear_resize(img, out)
-    np.testing.assert_allclose(got, resize_scalar_oracle(img, *out), atol=1e-12)
+    for src in (img, (img * 255).astype(np.uint8)):
+        got = imops.bilinear_resize(src, out)
+        assert got.dtype == np.float64
+        np.testing.assert_allclose(got, resize_scalar_oracle(src, *out), atol=1e-12)
+
+
+def test_resize_axis_taps_are_read_only():
+    imops.bilinear_resize(np.zeros((6, 5)), (4, 9))
+    for arr in imops._axis_taps(6, 4) + imops._axis_taps(5, 9):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0
 
 
 def test_resize_identity_and_constants():

@@ -281,6 +281,88 @@ def test_conv2d_float32_backward_matches_float64_on_unetpp_step():
         assert np.abs(g32[name] - g32_scatter[name]).max() <= 1e-4 * scale, name
 
 
+def _conv_all_grads(x, w, b, g, padding):
+    """(out, gx, gw, gb) of one conv2d under upstream gradient g."""
+    tx, tw, tb = (T.Tensor(a, requires_grad=True) for a in (x, w, b))
+    out = T.conv2d(tx, tw, tb, padding=padding)
+    T.backward((out * T.Tensor(g)).sum())
+    return out.data, tx.grad, tw.grad, tb.grad
+
+
+@pytest.fixture
+def count_tap_convs(monkeypatch):
+    """Counts the calls of the tap path's padding helper (forward and input gradient)."""
+    calls = []
+    flat_pad = T._flat_pad
+
+    def spy(a, pad, k):
+        calls.append((a.shape, pad, k))
+        return flat_pad(a, pad, k)
+
+    monkeypatch.setattr(T, "_flat_pad", spy)
+    return calls
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("k,padding", [(k, p) for k in (3, 5) for p in sorted({0, (k - 1) // 2, k - 1, k})])
+def test_conv2d_tap_path_matches_im2col_path(k, padding, dtype, monkeypatch, count_tap_convs):
+    # the same inputs through both stride-1 paths, the selection constant
+    # forced each way; odd and unequal sides
+    rng = np.random.default_rng(2000 + 10 * k + padding)
+    side_h, side_w = 9, 7
+    x = rng.standard_normal((3, 4, side_h, side_w)).astype(dtype)
+    w = rng.standard_normal((5, 4, k, k)).astype(dtype)
+    b = rng.standard_normal(5).astype(dtype)
+    g = rng.standard_normal((3, 5, side_h + 2 * padding - k + 1, side_w + 2 * padding - k + 1)).astype(dtype)
+
+    monkeypatch.setattr(T, "_TAP_MIN_COLS", 10 ** 12)
+    via_im2col = _conv_all_grads(x, w, b, g, padding)
+    assert not count_tap_convs
+    monkeypatch.setattr(T, "_TAP_MIN_COLS", 1)
+    via_taps = _conv_all_grads(x, w, b, g, padding)
+    assert len(count_tap_convs) == 2  # forward and input gradient
+    for name, got, want in zip(("out", "gx", "gw", "gb"), via_taps, via_im2col):
+        assert got.shape == want.shape and got.dtype == want.dtype, name
+        if dtype == np.float64:
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12, err_msg=name)
+        else:
+            assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max(), name
+
+
+def test_conv2d_tap_path_gradients_match_finite_differences(count_tap_convs):
+    # a shape past the real selection constant (8 * 25 * 16 * 16 columns)
+    rng = np.random.default_rng(2100)
+    x = rng.standard_normal((1, 8, 16, 16))
+    w = rng.standard_normal((2, 8, 5, 5))
+    b = rng.standard_normal(2)
+    g = rng.standard_normal((1, 2, 16, 16))
+    assert 8 * 5 * 5 * 16 * 16 >= T._TAP_MIN_COLS
+    _, gx, gw, gb = _conv_all_grads(x, w, b, g, 2)
+    assert len(count_tap_convs) == 2
+
+    def run():
+        out = T.conv2d(T.Tensor(x), T.Tensor(w), T.Tensor(b), padding=2)
+        return float((out.data * g).sum())
+
+    assert_grads_close(gx, fd_grad(run, x))
+    assert_grads_close(gw, fd_grad(run, w))
+    assert_grads_close(gb, fd_grad(run, b))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_tap_path_batched_forward_matches_single_samples_bitwise(dtype, count_tap_convs):
+    # the criterion-6 lattice, where every stride-1 k > 1 conv but the
+    # Cin = 1 stem takes the tap path
+    model = UnetPP(UnetPPConfig(levels=3, input_size=32, base_channels=8), seed=3, dtype=dtype)
+    x = np.random.default_rng(61).uniform(0, 1, (8, 1, 32, 32)).astype(dtype)
+    with T.no_grad():
+        batched = model.forward(T.Tensor(x)).data
+        assert len(count_tap_convs) == 6
+        for i in range(8):
+            alone = model.forward(T.Tensor(x[i:i + 1])).data
+            assert batched[i].tobytes() == alone[0].tobytes(), i
+
+
 # ---------------------------------------------------------------------------
 # bilinear upsampling
 
