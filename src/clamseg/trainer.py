@@ -13,6 +13,7 @@ channel is calibrated from image-level labels alone (mean activation over
 positive- vs negative-labeled training images).
 """
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -88,8 +89,8 @@ def init_state(model_config, opt_config, policy, seed, siamese=False,
                          f"the pair tile size {policy.tile_size}")
     init_seed = derive_key(seed, "init")
     model_a = UnetPP(model_config, seed=init_seed, truncated=truncated)
-    model_b = model_a if siamese else UnetPP(model_config, seed=init_seed,
-                                             truncated=truncated)
+    # the twins start from the same draws; a copy skips drawing them twice
+    model_b = model_a if siamese else copy.deepcopy(model_a)
     flat = {f"{tag}/{n}": t for tag, m in
             ([("a", model_a)] if siamese else [("a", model_a), ("b", model_b)])
             for n, t in m.parameter_items()}

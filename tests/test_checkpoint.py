@@ -111,3 +111,28 @@ def test_truncated(tmp_path):
 def test_missing_file():
     with pytest.raises(DataError, match="cannot read"):
         ckpt.load_checkpoint("/nonexistent/c.clam")
+
+
+def _fail(*args, **kwargs):
+    raise OSError("disk full")
+
+
+@pytest.mark.parametrize("target", ["replace", "fsync"])
+def test_failed_save_keeps_the_old_checkpoint_and_no_temp_file(tmp_path, monkeypatch, target):
+    p = tmp_path / "c.clam"
+    ckpt.save_checkpoint(str(p), "k=old\n", sample_tensors())
+    old = p.read_bytes()
+    monkeypatch.setattr(ckpt.os, target, _fail)
+    with pytest.raises(OSError, match="disk full"):
+        ckpt.save_checkpoint(str(p), "k=new\n", {"x": np.ones(5, dtype=np.float32)})
+    monkeypatch.undo()
+    assert p.read_bytes() == old
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["c.clam"]
+
+
+def test_save_replaces_the_target_and_leaves_no_temp_file(tmp_path):
+    p = tmp_path / "c.clam"
+    ckpt.save_checkpoint(str(p), "k=old\n", sample_tensors())
+    ckpt.save_checkpoint(str(p), "k=new\n", sample_tensors())
+    assert ckpt.load_checkpoint(str(p))[0] == "k=new\n"
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["c.clam"]

@@ -1,6 +1,8 @@
 """Tensor op tests against independent window/scalar oracles and finite differences."""
 
 import math
+import platform
+import types
 import warnings
 
 import numpy as np
@@ -675,3 +677,44 @@ def test_no_grad_restores_recording_when_body_raises():
         assert T.relu(x)._node is None
     assert T.relu(x)._node is not None
 
+
+# ---------------------------------------------------------------------------
+# allocator thresholds
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc allocator only")
+def test_training_steps_keep_their_memory_without_page_faults():
+    # forward, pair loss and backward of both criterion-6 twins at B=8; with
+    # glibc's default thresholds every step faults its freed tape back in
+    # (about 6,650 minor faults per step here), with the fixed ones it
+    # reuses it
+    import resource
+
+    cfg = UnetPPConfig(levels=3, input_size=32, base_channels=8)
+    model_a, model_b = UnetPP(cfg, seed=7), UnetPP(cfg, seed=7)
+    rng = np.random.default_rng(71)
+    xa, xb = (T.Tensor(rng.uniform(0, 1, (8, 1, 32, 32)).astype(np.float32)) for _ in range(2))
+    cross, etas = [i % 2 == 1 for i in range(8)], [1.0] * 8
+
+    def step():
+        total, _ = losses.pair_batch_loss(model_a.forward(xa), model_b.forward(xb), cross, etas)
+        T.backward(total)
+
+    for _ in range(3):
+        step()
+    steps = 10
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(steps):
+        step()
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults / steps < 200, faults
+
+
+def _no_c_library(name):
+    raise OSError("no C library")
+
+
+@pytest.mark.parametrize("cdll", [lambda name: types.SimpleNamespace(), _no_c_library],
+                         ids=["no-mallopt", "no-libc"])
+def test_allocator_setup_without_mallopt_does_nothing(monkeypatch, cdll):
+    monkeypatch.setattr(T.ctypes, "CDLL", cdll)
+    assert T._keep_freed_memory() is False

@@ -7,7 +7,7 @@ from clamseg import augment, gradcheck, losses, phantoms, trainer
 from clamseg import tensor as T
 from clamseg.errors import DataError, NonFiniteLossError
 from clamseg.manifest import Record, manifest_path, write_manifest
-from clamseg.seeding import derive_rng
+from clamseg.seeding import derive_key, derive_rng
 from clamseg.unetpp import UnetPP, UnetPPConfig
 
 
@@ -415,6 +415,20 @@ def test_mismatched_tile_and_input_size_rejected():
     with pytest.raises(ValueError, match="tile size"):
         trainer.init_state(tiny_config(), trainer.OptimizerConfig(),
                            tiny_policy(tile_size=16), seed=1)
+
+
+@pytest.mark.parametrize("truncated", [False, True])
+def test_twins_start_equal_but_unshared(truncated):
+    state = trainer.init_state(tiny_config(), trainer.OptimizerConfig(kind="sgd", lr=0.05),
+                               tiny_policy(), 5, truncated=truncated)
+    drawn = UnetPP(tiny_config(), seed=derive_key(5, "init"), truncated=truncated)
+    assert state.model_a is not state.model_b
+    for model in (state.model_a, state.model_b):
+        assert model.truncated is truncated
+        assert params_bytes(model) == params_bytes(drawn)
+    for (name, a), (_, b) in zip(state.model_a.parameter_items(), state.model_b.parameter_items()):
+        assert not np.shares_memory(a.data, b.data), name
+        assert not np.shares_memory(a.grad, b.grad), name
 
 
 def test_siamese_flag_shares_weights(tmp_path):
