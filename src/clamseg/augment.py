@@ -110,11 +110,11 @@ def load_batch(data_dir, split):
 
 @dataclass
 class PairPolicy:
-    n_augment: int = 4
-    n_normal: int = 2
-    n_cross: int = 2
-    tile_size: int = 64
-    default_eta: float = 0.5
+    n_augment: int
+    n_normal: int
+    n_cross: int
+    tile_size: int
+    default_eta: float
 
 
 @dataclass
@@ -131,14 +131,6 @@ class PairSample:
 
 def _pick(rng, items):
     return items[int(rng.integers(len(items)))]
-
-
-def _tile_at(image, tile_size, index):
-    n = image.shape[0] // tile_size
-    r, c = divmod(index, n)
-    sl = image[r * tile_size:(r + 1) * tile_size,
-               c * tile_size:(c + 1) * tile_size].copy()
-    return (r, c), sl
 
 
 def make_pairs(batch, seed, policy):
@@ -165,7 +157,7 @@ def make_pairs(batch, seed, policy):
     for i in range(policy.n_augment):
         rng = derive_rng(seed, "pair", "augment", f"{i:05d}")
         src = _pick(rng, batch)
-        coords, sl = _tile_at(src.image, policy.tile_size, int(rng.integers(n_tiles)))
+        coords, sl = tile(src.image, policy.tile_size)[int(rng.integers(n_tiles))]
         twin, draws = augment_chain(sl, rng)
         pairs.append(PairSample("augment", sl, twin.astype(np.float32), 1.0,
                                 src.name, src.name, coords, {"b": draws}))
@@ -175,8 +167,8 @@ def make_pairs(batch, seed, policy):
         img_a, da = augment_chain(ia.image, rng)
         img_b, db = augment_chain(ib.image, rng)
         ti = int(rng.integers(n_tiles))
-        coords, sa = _tile_at(img_a.astype(np.float32), policy.tile_size, ti)
-        _, sb = _tile_at(img_b.astype(np.float32), policy.tile_size, ti)
+        coords, sa = tile(img_a.astype(np.float32), policy.tile_size)[ti]
+        _, sb = tile(img_b.astype(np.float32), policy.tile_size)[ti]
         pairs.append(PairSample("normal", sa, sb, 1.0, ia.name, ib.name,
                                 coords, {"a": da, "b": db}))
     for i in range(policy.n_cross):
@@ -185,8 +177,8 @@ def make_pairs(batch, seed, policy):
         img_p, dp = augment_chain(ip.image, rng)
         img_n, dn = augment_chain(iname.image, rng)
         ti = int(rng.integers(n_tiles))
-        coords, sp = _tile_at(img_p.astype(np.float32), policy.tile_size, ti)
-        _, sn = _tile_at(img_n.astype(np.float32), policy.tile_size, ti)
+        coords, sp = tile(img_p.astype(np.float32), policy.tile_size)[ti]
+        _, sn = tile(img_n.astype(np.float32), policy.tile_size)[ti]
         eta = ip.eta if ip.eta is not None else policy.default_eta
         pairs.append(PairSample("cross", sp, sn, float(eta), ip.name, iname.name,
                                 coords, {"a": dp, "b": dn}))

@@ -102,7 +102,10 @@ def load_checkpoint(path):
     tensors = {}
     while not rd.done():
         nlen = rd.u32("name length")
-        name = rd.take(nlen, "name").decode("utf-8")
+        try:
+            name = rd.take(nlen, "name").decode("utf-8")
+        except UnicodeDecodeError:
+            raise DataError(f"{path}: tensor name is not valid utf-8") from None
         if name in tensors:
             raise DataError(f"{path}: duplicate tensor {name!r}")
         rank = rd.u32("rank")

@@ -18,11 +18,11 @@ from .unetpp import UnetPPConfig
 
 @dataclass
 class OptimizerConfig:
-    kind: str = "adam"
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    kind: str
+    lr: float
+    beta1: float
+    beta2: float
+    eps: float
 
     def validate(self):
         if self.kind not in ("sgd", "adam"):

@@ -191,7 +191,7 @@ def loss_cases(seed):
     yield ("total_loss/one-live-slice", total_fn, zl)
 
 
-def model_cases(seed, check_all_params=True):
+def model_cases(seed):
     """Full small-model checks: 2 levels, base width 2, 8x8 input.
 
     The checked function returns (loss, relu-signature); coordinates probing
@@ -258,7 +258,3 @@ def run_suite(module="all", seeds=range(20), h=1e-3, tol=1e-4):
                 report = gradcheck(f, T.Tensor(np.asarray(point, dtype=np.float64)), h=h, tol=tol)
                 results.append((f"{name}[seed={s}]", report))
     return results
-
-
-def suite_passed(results):
-    return all(r["pass"] for _, r in results)

@@ -54,16 +54,16 @@ def bilinear_resize(img, out_hw):
     return rows[:, c0] * (1 - tc) + rows[:, c1] * tc
 
 
-def pad_center(img, out_h, out_w, fill=0.0):
-    """Place img centered in an (out_h, out_w) canvas; odd slack floors the
-    top/left offset."""
+def pad_center(img, out_h, out_w):
+    """Place img centered in an (out_h, out_w) zero canvas; odd slack floors
+    the top/left offset."""
     img = np.asarray(img)
     h, w = img.shape
     if h > out_h or w > out_w:
         raise ValueError(f"content {img.shape} larger than canvas {(out_h, out_w)}")
     top = (out_h - h) // 2
     left = (out_w - w) // 2
-    out = np.full((out_h, out_w), fill, dtype=img.dtype)
+    out = np.zeros((out_h, out_w), dtype=img.dtype)
     out[top:top + h, left:left + w] = img
     return out
 

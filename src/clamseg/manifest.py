@@ -57,25 +57,24 @@ def parse_manifest_text(text, name="manifest"):
     return records
 
 
-def read_manifest(path, check_paths=True):
-    """Load records; with check_paths, verify referenced files exist."""
+def read_manifest(path):
+    """Load records and verify that the files they reference exist."""
     try:
         with open(path, "r", encoding="ascii") as fh:
             text = fh.read()
     except OSError as e:
         raise DataError(f"cannot read manifest {path}: {e}") from None
     records = parse_manifest_text(text, name=os.path.basename(path))
-    if check_paths:
-        base = os.path.dirname(os.path.abspath(path))
-        missing = []
-        for rec in records:
-            for p in (rec.image, rec.mask):
-                if p is not None and not os.path.exists(os.path.join(base, p)):
-                    missing.append(p)
-        if missing:
-            listed = ", ".join(missing[:5])
-            more = f" (+{len(missing) - 5} more)" if len(missing) > 5 else ""
-            raise DataError(f"{path}: missing referenced files: {listed}{more}")
+    base = os.path.dirname(os.path.abspath(path))
+    missing = []
+    for rec in records:
+        for p in (rec.image, rec.mask):
+            if p is not None and not os.path.exists(os.path.join(base, p)):
+                missing.append(p)
+    if missing:
+        listed = ", ".join(missing[:5])
+        more = f" (+{len(missing) - 5} more)" if len(missing) > 5 else ""
+        raise DataError(f"{path}: missing referenced files: {listed}{more}")
     return records
 
 
@@ -92,7 +91,3 @@ def write_manifest(path, records):
     with open(path, "w", encoding="ascii") as fh:
         for rec in records:
             fh.write(format_record(rec) + "\n")
-
-
-def resolve(manifest_dir, rel_path):
-    return os.path.join(manifest_dir, rel_path)

@@ -62,7 +62,7 @@ def _fmt(v):
 
 
 def evaluate(ckpt_path, data_dir, split="test", threshold=0.5, depth=None,
-             seed=0, trials=200, mask_dir=None, out_prefix=None):
+             seed=0, trials=200, out_prefix=None):
     """Infer every image of a split and score against hidden masks.
 
     Hidden masks are looked up by image basename.  When the data dir carries
@@ -77,14 +77,11 @@ def evaluate(ckpt_path, data_dir, split="test", threshold=0.5, depth=None,
         raise DataError(f"{split} manifest in {data_dir} is empty")
 
     geoms = None
-    if mask_dir is None:
-        if os.path.exists(os.path.join(data_dir, "geometry.tsv")):
-            source_dir, geoms = preprocess.read_geometry(data_dir)
-            mask_dir = os.path.join(source_dir, "eval_masks")
-        else:
-            mask_dir = os.path.join(data_dir, "eval_masks")
-    elif os.path.exists(os.path.join(data_dir, "geometry.tsv")):
-        _, geoms = preprocess.read_geometry(data_dir)
+    if os.path.exists(os.path.join(data_dir, "geometry.tsv")):
+        source_dir, geoms = preprocess.read_geometry(data_dir)
+        mask_dir = os.path.join(source_dir, "eval_masks")
+    else:
+        mask_dir = os.path.join(data_dir, "eval_masks")
 
     rows = []
     rate_sum = 0.0

@@ -33,8 +33,11 @@ def _next_token(data, pos):
 
 def read_pgm(path):
     """Read a P5 file into a uint8 H x W array."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as e:
+        raise DataError(f"cannot read image {path}: {e}") from None
     try:
         magic, pos = _next_token(data, 0)
         if magic != b"P5":

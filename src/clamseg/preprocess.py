@@ -18,7 +18,7 @@ import numpy as np
 
 from . import pgm
 from .errors import DataError
-from .imops import bilinear_resize, close_3x3, largest_component, otsu_threshold
+from .imops import bilinear_resize, close_3x3, largest_component, otsu_threshold, pad_center
 from .manifest import SPLITS, Record, manifest_path, read_manifest, write_manifest
 
 CROP_MARGIN = 4
@@ -36,7 +36,7 @@ def organ_mask_threshold(img):
     return close_3x3(comp)
 
 
-def crop_and_resize(image, mask, out_size, margin=CROP_MARGIN):
+def crop_and_resize(image, mask, out_size):
     """Apply the mask-zero / crop / pad-square / resize chain to one image."""
     if image.shape != mask.shape:
         raise ValueError(f"image {image.shape} vs mask {mask.shape}")
@@ -45,21 +45,20 @@ def crop_and_resize(image, mask, out_size, margin=CROP_MARGIN):
     h, w = image.shape
     rows = np.flatnonzero(mask.any(axis=1))
     cols = np.flatnonzero(mask.any(axis=0))
-    r0 = max(int(rows[0]) - margin, 0)
-    r1 = min(int(rows[-1]) + 1 + margin, h)
-    c0 = max(int(cols[0]) - margin, 0)
-    c1 = min(int(cols[-1]) + 1 + margin, w)
+    r0 = max(int(rows[0]) - CROP_MARGIN, 0)
+    r1 = min(int(rows[-1]) + 1 + CROP_MARGIN, h)
+    c0 = max(int(cols[0]) - CROP_MARGIN, 0)
+    c1 = min(int(cols[-1]) + 1 + CROP_MARGIN, w)
 
-    crop = np.where(mask, image, 0.0)[r0:r1, c0:c1]
+    # float64 before padding: the resize runs in its input's dtype
+    crop = np.where(mask, image, 0.0)[r0:r1, c0:c1].astype(np.float64)
     ch, cw = crop.shape
     side = max(ch, cw)
-    top = (side - ch) // 2
-    left = (side - cw) // 2
-    square = np.zeros((side, side), dtype=np.float64)
-    square[top:top + ch, left:left + cw] = crop
+    square = pad_center(crop, side, side)
 
     out = bilinear_resize(square, (out_size, out_size)).astype(np.float32)
-    geom = {"r0": r0, "c0": c0, "r1": r1, "c1": c1, "top": top, "left": left,
+    geom = {"r0": r0, "c0": c0, "r1": r1, "c1": c1,
+            "top": (side - ch) // 2, "left": (side - cw) // 2,
             "side": side, "out_size": out_size, "src_h": h, "src_w": w}
     return out, geom
 
@@ -69,10 +68,7 @@ def transform_mask(mask, geom, threshold=0.5):
     if mask.shape != (geom["src_h"], geom["src_w"]):
         raise ValueError(f"mask shape {mask.shape} does not match geometry")
     crop = mask[geom["r0"]:geom["r1"], geom["c0"]:geom["c1"]].astype(np.float64)
-    side = geom["side"]
-    square = np.zeros((side, side), dtype=np.float64)
-    square[geom["top"]:geom["top"] + crop.shape[0],
-           geom["left"]:geom["left"] + crop.shape[1]] = crop
+    square = pad_center(crop, geom["side"], geom["side"])
     out = bilinear_resize(square, (geom["out_size"], geom["out_size"]))
     return out > threshold
 
@@ -113,8 +109,7 @@ def read_geometry(out_dir):
     return source_dir, geoms
 
 
-def preprocess_dataset(in_dir, out_dir, mask_mode="external", out_size=256,
-                       margin=CROP_MARGIN):
+def preprocess_dataset(in_dir, out_dir, mask_mode="external", out_size=256):
     """Preprocess every split manifest found in in_dir.
 
     Images whose organ mask comes out empty (or is missing in external mode)
@@ -151,7 +146,7 @@ def preprocess_dataset(in_dir, out_dir, mask_mode="external", out_size=256,
             if not mask.any():
                 warnings.append(f"{split}/{name}: empty organ mask, skipped")
                 continue
-            out_img, geom = crop_and_resize(img, mask, out_size, margin=margin)
+            out_img, geom = crop_and_resize(img, mask, out_size)
             # keep every pixel the resampler touched so a second pass is a no-op
             out_mask = transform_mask(mask, geom, threshold=0.0)
             pgm.write_unit(os.path.join(img_dir, name), out_img)

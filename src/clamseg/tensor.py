@@ -76,10 +76,9 @@ _keep_freed_memory()
 class TapeNode:
     """One recorded operation: operand references plus a gradient rule."""
 
-    __slots__ = ("op", "parents", "grad_fn")
+    __slots__ = ("parents", "grad_fn")
 
-    def __init__(self, op, parents, grad_fn):
-        self.op = op
+    def __init__(self, parents, grad_fn):
         self.parents = parents
         self.grad_fn = grad_fn  # upstream grad array -> tuple of operand grads
 
@@ -191,7 +190,7 @@ def _result(data, op, parents, grad_fn):
     _check_finite(data, op)
     out = Tensor(data)
     if _recording and any(_needs_grad(p) for p in parents):
-        out._node = TapeNode(op, tuple(parents), grad_fn)
+        out._node = TapeNode(tuple(parents), grad_fn)
     return out
 
 

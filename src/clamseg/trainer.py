@@ -21,10 +21,9 @@ import numpy as np
 
 from . import augment, checkpoint, config, losses
 from . import tensor as T
-from .config import OptimizerConfig
 from .errors import DataError, NonFiniteLossError, NumericError, UsageError
 from .seeding import derive_key
-from .unetpp import UnetPP, UnetPPConfig
+from .unetpp import UnetPP
 
 
 class Optimizer:
@@ -41,18 +40,13 @@ class Optimizer:
         else:
             self.m = self.v = None
 
-    def step(self, grads):
-        """One tick; updates every parameter in sorted-name order."""
-        if set(grads) != set(self.params):
-            raise ValueError("gradient keys do not match parameter keys")
+    def step(self):
+        """One tick from each parameter's own ``.grad``, in sorted-name order."""
         cfg = self.config
         self.t += 1
         for name in sorted(self.params):
             w = self.params[name]
-            g = np.asarray(grads[name])
-            if g.shape != w.data.shape:
-                raise ValueError(f"gradient shape {g.shape} != parameter shape "
-                                 f"{w.data.shape} for {name}")
+            g = w.grad
             if cfg.kind == "sgd":
                 w.data = w.data - cfg.lr * g
             else:
@@ -65,21 +59,35 @@ class Optimizer:
 
 @dataclass
 class TrainState:
+    """The twins, their one optimizer and the pair policy; the step count is ``optimizer.t``."""
     model_a: UnetPP
     model_b: UnetPP
     optimizer: Optimizer
-    model_config: UnetPPConfig
-    opt_config: OptimizerConfig
     policy: augment.PairPolicy
     seed: int
-    step: int = 0
-    siamese: bool = False
     marker_channel: int = 1
+
+    @property
+    def siamese(self):
+        return self.model_b is self.model_a
+
+    @property
+    def step(self):
+        return self.optimizer.t
 
     def models(self):
         if self.siamese:
             return [("a", self.model_a)]
         return [("a", self.model_a), ("b", self.model_b)]
+
+
+def _new_state(model_a, model_b, opt_config, policy, seed):
+    """A state at step 0 whose fresh optimizer holds both twins' parameters."""
+    state = TrainState(model_a=model_a, model_b=model_b, optimizer=None, policy=policy,
+                       seed=int(seed))
+    state.optimizer = Optimizer(opt_config, {f"{tag}/{n}": t for tag, m in state.models()
+                                             for n, t in m.parameter_items()})
+    return state
 
 
 def init_state(model_config, opt_config, policy, seed, siamese=False,
@@ -91,13 +99,7 @@ def init_state(model_config, opt_config, policy, seed, siamese=False,
     model_a = UnetPP(model_config, seed=init_seed, truncated=truncated)
     # the twins start from the same draws; a copy skips drawing them twice
     model_b = model_a if siamese else copy.deepcopy(model_a)
-    flat = {f"{tag}/{n}": t for tag, m in
-            ([("a", model_a)] if siamese else [("a", model_a), ("b", model_b)])
-            for n, t in m.parameter_items()}
-    opt = Optimizer(opt_config, flat)
-    return TrainState(model_a=model_a, model_b=model_b, optimizer=opt,
-                      model_config=model_config, opt_config=opt_config,
-                      policy=policy, seed=int(seed), siamese=bool(siamese))
+    return _new_state(model_a, model_b, opt_config, policy, seed)
 
 
 def _batch_input(slices, dtype):
@@ -141,19 +143,17 @@ def train_step(state, pairs):
             f"non-finite loss at step {state.step}: {e}",
             provenance=[_pair_provenance(p) for p in pairs]) from e
 
-    grads = {f"{tag}/{n}": t.grad for tag, m in state.models()
-             for n, t in m.parameter_items()}
-    bad = [name for name, g in grads.items() if not np.isfinite(g).all()]
+    params = state.optimizer.params
+    bad = [name for name, t in params.items() if not np.isfinite(t.grad).all()]
     if bad:
         raise NonFiniteLossError(
             f"non-finite gradient at step {state.step} in {', '.join(bad[:3])}"
             + (f" and {len(bad) - 3} more" if len(bad) > 3 else ""),
             provenance=[_pair_provenance(p) for p in pairs])
     sq = 0.0
-    for g in grads.values():
-        sq += float(np.sum(g.astype(np.float64) ** 2))
-    state.optimizer.step(grads)
-    state.step += 1
+    for t in params.values():
+        sq += float(np.sum(t.grad.astype(np.float64) ** 2))
+    state.optimizer.step()
 
     pos = [v for v, p in zip(per, pairs) if p.kind != "cross"]
     neg = [v for v, p in zip(per, pairs) if p.kind == "cross"]
@@ -174,8 +174,8 @@ _TRAIN_KEYS = ("seed", "step", "truncated", "marker_channel")
 def _settings_block(state):
     """A checkpoint's config block: the ``--config`` text of the state's
     settings, without the loop-only ``checkpoint_every``, then the train lines."""
-    rc = config.to_run_config(state.model_config, state.opt_config, state.policy,
-                              state.siamese)
+    rc = config.to_run_config(state.model_a.config, state.optimizer.config,
+                              state.policy, state.siamese)
     lines = [ln for ln in config.format_config(rc).splitlines(keepends=True)
              if not ln.startswith("checkpoint_every ")]
     values = (state.seed, state.step, int(state.model_a.truncated), state.marker_channel)
@@ -224,9 +224,8 @@ def load_state(path):
 
     state = init_state(model_config, opt_config, policy, seed, siamese=rc.siamese,
                        truncated=bool(truncated))
-    state.step = step
-    state.marker_channel = marker_channel
     state.optimizer.t = step
+    state.marker_channel = marker_channel
     expected = _settings_block(state)
     if text != expected:
         absent = [ln for ln in expected.splitlines() if ln not in text.splitlines()]
@@ -257,18 +256,14 @@ def prune_state(state, depth):
     the surviving parameters; head outputs stay bit-identical."""
     model_a = state.model_a.prune(depth)
     model_b = model_a if state.siamese else state.model_b.prune(depth)
-    new = TrainState(model_a=model_a, model_b=model_b, optimizer=None,
-                     model_config=model_a.config, opt_config=state.opt_config,
-                     policy=state.policy, seed=state.seed, step=state.step,
-                     siamese=state.siamese, marker_channel=state.marker_channel)
-    flat = {f"{tag}/{n}": t for tag, m in new.models() for n, t in m.parameter_items()}
-    opt = Optimizer(state.opt_config, flat)
-    opt.t = state.optimizer.t
-    if state.opt_config.kind == "adam":
-        for key in flat:
-            opt.m[key] = state.optimizer.m[key].copy()
-            opt.v[key] = state.optimizer.v[key].copy()
-    new.optimizer = opt
+    old = state.optimizer
+    new = _new_state(model_a, model_b, old.config, state.policy, state.seed)
+    new.optimizer.t = old.t
+    new.marker_channel = state.marker_channel
+    if old.config.kind == "adam":
+        for key in new.optimizer.params:
+            new.optimizer.m[key] = old.m[key].copy()
+            new.optimizer.v[key] = old.v[key].copy()
     return new
 
 
@@ -305,7 +300,7 @@ def infer(ckpt_path, image, depth=None, threshold=0.5):
     return infer_state(load_state(ckpt_path), image, depth=depth, threshold=threshold)
 
 
-def calibrate_marker_channel(state, batch, depth=None):
+def calibrate_marker_channel(state, batch):
     """Pick the output channel that tracks positive-labeled images.
 
     Uses image-level labels only: the marker channel is the one whose mean
@@ -314,7 +309,7 @@ def calibrate_marker_channel(state, batch, depth=None):
     """
     means = {"pos": [], "neg": []}
     for b in batch:
-        probs = stitch_probs(state, b.image, depth=depth)
+        probs = stitch_probs(state, b.image)
         means[b.label].append(probs.mean(axis=(1, 2)))
     if not means["pos"] or not means["neg"]:
         return state.marker_channel
@@ -330,9 +325,9 @@ def format_metrics_line(m):
 
 
 def run_training(data_dir, model_config, opt_config, policy, steps, seed,
-                 out_path, checkpoint_every=0, siamese=False, resume_from=None,
-                 log_path=None):
-    """Train for `steps` total steps and write checkpoint + metrics log.
+                 out_path, checkpoint_every=0, siamese=False, resume_from=None):
+    """Train for `steps` total steps; write the checkpoint and its metrics log
+    ``<out_path>.log``.
 
     With resume_from, the checkpoint's own config snapshot governs and
     training continues from its recorded step up to `steps`.
@@ -358,9 +353,7 @@ def run_training(data_dir, model_config, opt_config, policy, steps, seed,
 
     state.marker_channel = calibrate_marker_channel(state, batch)
     save_state(state, out_path)
-    if log_path is None:
-        log_path = out_path + ".log"
-    with open(log_path, "w", encoding="ascii") as fh:
+    with open(out_path + ".log", "w", encoding="ascii") as fh:
         for line in lines:
             fh.write(line + "\n")
     return state, metrics

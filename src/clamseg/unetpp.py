@@ -115,7 +115,6 @@ class UnetPP:
         self.node_plan = {}   # (i, j) -> [_Conv, ...]; backbone downsampler kept separate
         self.down_plan = {}   # i -> _Conv producing level i+1 input
         self.head_plan = {}   # j -> _Conv (1x1, no relu)
-        self.shape_table = {}  # (i, j) -> (channels, side)
         self.params = {}
         self._build()
 
@@ -134,7 +133,6 @@ class UnetPP:
             if i == L - 1 and not self.truncated:
                 convs.append(_Conv(f"node_{i}_0.conv{len(convs) + 1}", c, c, k))
             self.node_plan[(i, 0)] = convs
-            self.shape_table[(i, 0)] = (c, cfg.side(i))
             if i < L - 1:
                 self.down_plan[i] = _Conv(
                     f"node_{i}_0.conv{len(convs) + 1}", c, cfg.channels(i + 1), k, stride=2)
@@ -146,7 +144,6 @@ class UnetPP:
                     _Conv(f"node_{i}_{j}.conv1", cfg.channels(i + 1), c, 1),
                     _Conv(f"node_{i}_{j}.conv2", (j + 1) * c, c, k),
                 ]
-                self.shape_table[(i, j)] = (c, cfg.side(i))
         for j in cfg.heads:
             self.head_plan[j] = _Conv(f"head_{j}", cfg.channels(0), 2, 1, relu=False)
 
@@ -278,26 +275,3 @@ class UnetPP:
         out = UnetPP(sub, seed=self.seed, dtype=self.dtype, truncated=truncated)
         out.load_state({name: self.params[name].data for name in out.params})
         return out
-
-    # -- reporting ----------------------------------------------------------
-
-    def summary(self):
-        cfg = self.config
-        lines = [f"levels={cfg.levels} input={cfg.input_size} base={cfg.base_channels} "
-                 f"kernels={cfg.kernel_schedule} repeat={sorted(cfg.repeat_levels)} "
-                 f"heads={list(cfg.heads)}{' truncated' if self.truncated else ''}"]
-        for (i, j) in sorted(self.node_plan):
-            c, s = self.shape_table[(i, j)]
-            convs = list(self.node_plan[(i, j)])
-            if j == 0 and i in self.down_plan:
-                convs.append(self.down_plan[i])
-            n = sum(self.params[cv.name + ".weight"].data.size
-                    + self.params[cv.name + ".bias"].data.size for cv in convs)
-            kinds = "+".join(f"{cv.k}x{cv.k}s{cv.stride}" for cv in convs)
-            lines.append(f"node_{i}_{j}  out {c}x{s}x{s}  convs {kinds}  params {n}")
-        for j in sorted(self.head_plan):
-            spec = self.head_plan[j]
-            n = self.params[spec.name + ".weight"].data.size + self.params[spec.name + ".bias"].data.size
-            lines.append(f"head_{j}  out 2x{cfg.input_size}x{cfg.input_size}  1x1s1  params {n}")
-        lines.append(f"total parameters {self.parameter_count()}")
-        return "\n".join(lines)

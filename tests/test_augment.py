@@ -131,7 +131,7 @@ def make_batch(n_pos=2, n_neg=2, size=64, eta=None):
 
 
 def test_make_pairs_counts_and_kinds():
-    policy = augment.PairPolicy(n_augment=3, n_normal=2, n_cross=2, tile_size=16)
+    policy = augment.PairPolicy(n_augment=3, n_normal=2, n_cross=2, tile_size=16, default_eta=0.5)
     pairs = augment.make_pairs(make_batch(), seed=7, policy=policy)
     assert [p.kind for p in pairs] == ["augment"] * 3 + ["normal"] * 2 + ["cross"] * 2
     for p in pairs:
@@ -142,7 +142,7 @@ def test_make_pairs_counts_and_kinds():
 
 
 def test_augment_pair_is_tile_plus_twin():
-    policy = augment.PairPolicy(n_augment=2, n_normal=0, n_cross=0, tile_size=16)
+    policy = augment.PairPolicy(n_augment=2, n_normal=0, n_cross=0, tile_size=16, default_eta=0.5)
     batch = make_batch()
     pairs = augment.make_pairs(batch, seed=11, policy=policy)
     by_name = {b.name: b.image for b in batch}
@@ -157,7 +157,7 @@ def test_augment_pair_is_tile_plus_twin():
 
 
 def test_normal_pairs_use_negative_sources():
-    policy = augment.PairPolicy(n_augment=0, n_normal=4, n_cross=0, tile_size=16)
+    policy = augment.PairPolicy(n_augment=0, n_normal=4, n_cross=0, tile_size=16, default_eta=0.5)
     batch = make_batch()
     labels = {b.name: b.label for b in batch}
     for p in augment.make_pairs(batch, seed=13, policy=policy):
@@ -183,10 +183,10 @@ def test_cross_pair_eta_from_manifest_or_default():
 
 
 def test_make_pairs_missing_class_errors():
-    policy = augment.PairPolicy(n_augment=0, n_normal=1, n_cross=0, tile_size=16)
+    policy = augment.PairPolicy(n_augment=0, n_normal=1, n_cross=0, tile_size=16, default_eta=0.5)
     with pytest.raises(DataError, match="negative"):
         augment.make_pairs(make_batch(n_pos=2, n_neg=0), seed=1, policy=policy)
-    policy = augment.PairPolicy(n_augment=0, n_normal=0, n_cross=1, tile_size=16)
+    policy = augment.PairPolicy(n_augment=0, n_normal=0, n_cross=1, tile_size=16, default_eta=0.5)
     with pytest.raises(DataError, match="positive"):
         augment.make_pairs(make_batch(n_pos=0, n_neg=2), seed=1, policy=policy)
     with pytest.raises(DataError, match="empty"):
@@ -194,7 +194,7 @@ def test_make_pairs_missing_class_errors():
 
 
 def test_make_pairs_deterministic_stream():
-    policy = augment.PairPolicy(n_augment=2, n_normal=2, n_cross=2, tile_size=16)
+    policy = augment.PairPolicy(n_augment=2, n_normal=2, n_cross=2, tile_size=16, default_eta=0.5)
     a = augment.make_pairs(make_batch(), seed=23, policy=policy)
     b = augment.make_pairs(make_batch(), seed=23, policy=policy)
     for pa, pb in zip(a, b):
@@ -207,7 +207,7 @@ def test_make_pairs_deterministic_stream():
 
 
 def test_pair_indices_get_distinct_draws():
-    policy = augment.PairPolicy(n_augment=6, n_normal=0, n_cross=0, tile_size=16)
+    policy = augment.PairPolicy(n_augment=6, n_normal=0, n_cross=0, tile_size=16, default_eta=0.5)
     pairs = augment.make_pairs(make_batch(), seed=29, policy=policy)
     rs = {p.draws["b"]["r"] for p in pairs}
     assert len(rs) == 6

@@ -113,6 +113,16 @@ def test_missing_file():
         ckpt.load_checkpoint("/nonexistent/c.clam")
 
 
+def test_undecodable_tensor_name(tmp_path):
+    p = tmp_path / "c.clam"
+    ckpt.save_checkpoint(str(p), "", {"ab": np.zeros(2, dtype=np.float32)})
+    raw = p.read_bytes()
+    assert raw[16:18] == b"ab"
+    p.write_bytes(raw[:16] + b"\xff\xfe" + raw[18:])
+    with pytest.raises(DataError, match="tensor name is not valid utf-8"):
+        ckpt.load_checkpoint(str(p))
+
+
 def _fail(*args, **kwargs):
     raise OSError("disk full")
 

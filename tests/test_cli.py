@@ -194,7 +194,7 @@ def test_checkpoint_config_block_is_run_config_text(ws, tmp_path):
     for path, model_config, opt_config, policy in [
             (ws["ckpt"], config.to_model_config(rc), config.to_optimizer_config(rc),
              config.to_policy(rc)),
-            (pruned_ckpt, pruned.model_config, pruned.opt_config, pruned.policy)]:
+            (pruned_ckpt, pruned.model_a.config, pruned.optimizer.config, pruned.policy)]:
         text = _settings_text(path)
         # checkpoint_every steers the loop; the file does not record it
         assert "checkpoint_every" not in text
@@ -202,7 +202,7 @@ def test_checkpoint_config_block_is_run_config_text(ws, tmp_path):
         assert vars(config.to_model_config(saved)) == vars(model_config)
         assert config.to_optimizer_config(saved) == opt_config
         assert config.to_policy(saved) == policy
-    assert pruned.model_config.levels == 2
+    assert pruned.model_a.config.levels == 2
 
 
 def _rewrite_config_line(src, dst, key, value):
@@ -246,6 +246,26 @@ def test_infer_rejects_version_1_checkpoint(ws, tmp_path, capsys):
     assert cli.main(["infer", "--ckpt", str(v1), "--image", ws["test_image"],
                      "--out", str(tmp_path / "m.pgm")]) == 2
     assert "unsupported checkpoint version 1" in capsys.readouterr().err
+
+
+def test_infer_undecodable_tensor_name_exits_2(ws, tmp_path, capsys):
+    with open(ws["ckpt"], "rb") as fh:
+        raw = fh.read()
+    name_at = 12 + struct.unpack("<I", raw[8:12])[0] + 4
+    bad = tmp_path / "name.ckpt"
+    bad.write_bytes(raw[:name_at] + b"\xff\xfe" + raw[name_at + 2:])
+    assert cli.main(["infer", "--ckpt", str(bad), "--image", ws["test_image"],
+                     "--out", str(tmp_path / "m.pgm")]) == 2
+    assert "tensor name is not valid utf-8" in capsys.readouterr().err
+
+
+def test_infer_missing_image_exits_2(ws, tmp_path, capsys):
+    missing = str(tmp_path / "missing.pgm")
+    assert cli.main(["infer", "--ckpt", ws["ckpt"], "--image", missing,
+                     "--out", str(tmp_path / "m.pgm")]) == 2
+    err = capsys.readouterr().err
+    assert "data error: cannot read image" in err and missing in err
+    assert not os.path.exists(tmp_path / "m.pgm")
 
 
 def test_preprocess_sizes_and_idempotence(tmp_path, capsys):

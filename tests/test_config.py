@@ -5,7 +5,6 @@ from dataclasses import fields
 import pytest
 
 from clamseg import config
-from clamseg.augment import PairPolicy
 from clamseg.errors import UsageError
 
 
@@ -139,12 +138,6 @@ def test_to_policy_rejects_bad_values():
         config.to_policy(config.parse_config("tile_size = 1\n"))
     with pytest.raises(UsageError, match="default_eta"):
         config.to_policy(config.parse_config("default_eta = 1.5\n"))
-
-
-def test_run_config_defaults_build_the_default_objects():
-    rc = config.RunConfig()
-    assert config.to_optimizer_config(rc) == config.OptimizerConfig()
-    assert config.to_policy(rc) == PairPolicy()
 
 
 def test_to_run_config_inverts_the_to_functions():

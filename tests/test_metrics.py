@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from clamseg import augment, metrics, phantoms, pgm, preprocess, trainer
+from clamseg import augment, config, metrics, phantoms, pgm, preprocess, trainer
 from clamseg.errors import DataError
 from clamseg.seeding import derive_rng
 from clamseg.unetpp import UnetPPConfig
@@ -106,8 +106,10 @@ def test_baseline_validation_and_determinism():
 
 def checkpointed_state(tmp_path, tile=8):
     cfg = UnetPPConfig(levels=2, input_size=tile, base_channels=2)
-    policy = augment.PairPolicy(n_augment=1, n_normal=1, n_cross=1, tile_size=tile)
-    state = trainer.init_state(cfg, trainer.OptimizerConfig(), policy, seed=3)
+    policy = augment.PairPolicy(n_augment=1, n_normal=1, n_cross=1, tile_size=tile,
+                                default_eta=0.5)
+    opt_config = config.to_optimizer_config(config.RunConfig())
+    state = trainer.init_state(cfg, opt_config, policy, seed=3)
     p = str(tmp_path / "model.clam")
     trainer.save_state(state, p)
     return p

@@ -49,6 +49,11 @@ def test_read_rejects_bad_files(tmp_path):
         pgm.read_pgm(trunc)
 
 
+def test_missing_file_is_a_data_error(tmp_path):
+    with pytest.raises(DataError, match="cannot read image"):
+        pgm.read_pgm(str(tmp_path / "missing.pgm"))
+
+
 def test_write_requires_uint8_2d():
     with pytest.raises(ValueError):
         pgm.write_pgm("/dev/null", np.zeros((2, 2), dtype=np.float32))

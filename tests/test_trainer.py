@@ -1,9 +1,10 @@
+import dataclasses
 import os
 
 import numpy as np
 import pytest
 
-from clamseg import augment, gradcheck, losses, phantoms, trainer
+from clamseg import augment, config, gradcheck, losses, phantoms, trainer
 from clamseg import tensor as T
 from clamseg.errors import DataError, NonFiniteLossError
 from clamseg.manifest import Record, manifest_path, write_manifest
@@ -21,8 +22,13 @@ def tiny_policy(**kw):
     return augment.PairPolicy(**args)
 
 
+def opt_config(**settings):
+    """The optimizer of a RunConfig with these settings, defaults elsewhere."""
+    return config.to_optimizer_config(config.RunConfig(**settings))
+
+
 def tiny_state(kind="sgd", lr=0.05, seed=5, siamese=False):
-    return trainer.init_state(tiny_config(), trainer.OptimizerConfig(kind=kind, lr=lr),
+    return trainer.init_state(tiny_config(), opt_config(optimizer=kind, lr=lr),
                               tiny_policy(), seed, siamese=siamese)
 
 
@@ -54,22 +60,24 @@ def make_dataset(tmp_path, n=6, size=16, seed=77):
 
 # -- optimizer --------------------------------------------------------------
 
-def one_param(val=1.0):
+def one_param(val=1.0, grad=0.0):
     t = T.Tensor(np.array([val], dtype=np.float32), requires_grad=True)
+    t.grad[0] = grad
     return {"w": t}
 
 
 def test_sgd_update():
-    p = one_param()
-    opt = trainer.Optimizer(trainer.OptimizerConfig(kind="sgd", lr=0.1), p)
-    opt.step({"w": np.array([0.5], dtype=np.float32)})
+    p = one_param(grad=0.5)
+    opt = trainer.Optimizer(opt_config(optimizer="sgd", lr=0.1), p)
+    opt.step()
     assert p["w"].data[0] == pytest.approx(0.95, abs=1e-7)
+    assert opt.t == 1
 
 
 def test_adam_first_step_is_signed_lr():
-    p = one_param()
-    opt = trainer.Optimizer(trainer.OptimizerConfig(), p)
-    opt.step({"w": np.array([0.5], dtype=np.float32)})
+    p = one_param(grad=0.5)
+    opt = trainer.Optimizer(opt_config(), p)
+    opt.step()
     # bias-corrected first step collapses to lr * g / (|g| + eps)
     assert p["w"].data[0] == pytest.approx(0.999, abs=1e-6)
 
@@ -78,26 +86,21 @@ def test_zero_gradient_is_a_no_op():
     for kind in ("sgd", "adam"):
         p = one_param(0.625)
         before = p["w"].data.tobytes()
-        opt = trainer.Optimizer(trainer.OptimizerConfig(kind=kind), p)
-        opt.step({"w": np.zeros(1, dtype=np.float32)})
+        opt = trainer.Optimizer(opt_config(optimizer=kind), p)
+        opt.step()
         assert p["w"].data.tobytes() == before
 
 
 def test_optimizer_validation():
+    base = opt_config()
     with pytest.raises(ValueError, match="kind"):
-        trainer.OptimizerConfig(kind="rmsprop").validate()
+        dataclasses.replace(base, kind="rmsprop").validate()
     with pytest.raises(ValueError, match="learning rate"):
-        trainer.OptimizerConfig(lr=0.0).validate()
+        dataclasses.replace(base, lr=0.0).validate()
     with pytest.raises(ValueError, match="beta2"):
-        trainer.OptimizerConfig(beta2=1.0).validate()
+        dataclasses.replace(base, beta2=1.0).validate()
     with pytest.raises(ValueError, match="eps"):
-        trainer.OptimizerConfig(eps=0.0).validate()
-    p = one_param()
-    opt = trainer.Optimizer(trainer.OptimizerConfig(kind="sgd"), p)
-    with pytest.raises(ValueError, match="keys"):
-        opt.step({"x": np.zeros(1, dtype=np.float32)})
-    with pytest.raises(ValueError, match="shape"):
-        opt.step({"w": np.zeros(2, dtype=np.float32)})
+        dataclasses.replace(base, eps=0.0).validate()
 
 
 # -- train_step -------------------------------------------------------------
@@ -340,7 +343,7 @@ def test_loaded_state_trains_identically(tmp_path):
 
 def run_args(data, out, steps=4, seed=123):
     return dict(data_dir=data, model_config=tiny_config(),
-                opt_config=trainer.OptimizerConfig(),
+                opt_config=opt_config(),
                 policy=tiny_policy(), steps=steps, seed=seed, out_path=out)
 
 
@@ -413,13 +416,13 @@ def test_training_rejects_hidden_mask_paths(tmp_path):
 
 def test_mismatched_tile_and_input_size_rejected():
     with pytest.raises(ValueError, match="tile size"):
-        trainer.init_state(tiny_config(), trainer.OptimizerConfig(),
+        trainer.init_state(tiny_config(), opt_config(),
                            tiny_policy(tile_size=16), seed=1)
 
 
 @pytest.mark.parametrize("truncated", [False, True])
 def test_twins_start_equal_but_unshared(truncated):
-    state = trainer.init_state(tiny_config(), trainer.OptimizerConfig(kind="sgd", lr=0.05),
+    state = trainer.init_state(tiny_config(), opt_config(optimizer="sgd", lr=0.05),
                                tiny_policy(), 5, truncated=truncated)
     drawn = UnetPP(tiny_config(), seed=derive_key(5, "init"), truncated=truncated)
     assert state.model_a is not state.model_b
@@ -441,6 +444,33 @@ def test_siamese_flag_shares_weights(tmp_path):
     back = trainer.load_state(p)
     assert back.model_a is back.model_b
     assert params_bytes(back.model_a) == params_bytes(state.model_a)
+
+
+@pytest.mark.parametrize("siamese", [False, True])
+def test_prune_state_keeps_moments_step_and_sharing(siamese):
+    cfg = UnetPPConfig(levels=3, input_size=8, base_channels=2)
+    state = trainer.init_state(cfg, opt_config(), tiny_policy(), 5, siamese=siamese)
+    pairs = [pair_of("augment", phantom_slice(1), phantom_slice(2)),
+             pair_of("cross", phantom_slice(3), phantom_slice(4), eta=0.5)]
+    for _ in range(2):
+        trainer.train_step(state, pairs)
+    state.marker_channel = 0
+    pruned = trainer.prune_state(state, 1)
+    old, new = state.optimizer, pruned.optimizer
+    assert pruned.step == new.t == state.step == 2
+    assert (pruned.model_b is pruned.model_a) is siamese
+    assert pruned.marker_channel == 0
+    kept = {f"{tag}/{n}": t for tag, m in pruned.models() for n, t in m.parameter_items()}
+    assert 0 < len(kept) < len(old.params)
+    assert set(new.m) == set(new.v) == set(kept)
+    for key, t in kept.items():
+        assert new.params[key] is t
+        for slot in ("m", "v"):
+            moment, parent = getattr(new, slot)[key], getattr(old, slot)[key]
+            assert moment.tobytes() == parent.tobytes(), (slot, key)
+            assert not np.shares_memory(moment, parent), (slot, key)
+    assert any(new.m[key].any() for key in kept)
+    assert trainer.train_step(pruned, pairs)["step"] == 3
 
 
 # -- inference --------------------------------------------------------------
