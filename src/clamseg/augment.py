@@ -161,25 +161,17 @@ def make_pairs(batch, seed, policy):
         twin, draws = augment_chain(sl, rng)
         pairs.append(PairSample("augment", sl, twin.astype(np.float32), 1.0,
                                 src.name, src.name, coords, {"b": draws}))
-    for i in range(policy.n_normal):
-        rng = derive_rng(seed, "pair", "normal", f"{i:05d}")
-        ia, ib = _pick(rng, neg), _pick(rng, neg)
-        img_a, da = augment_chain(ia.image, rng)
-        img_b, db = augment_chain(ib.image, rng)
-        ti = int(rng.integers(n_tiles))
-        coords, sa = tile(img_a.astype(np.float32), policy.tile_size)[ti]
-        _, sb = tile(img_b.astype(np.float32), policy.tile_size)[ti]
-        pairs.append(PairSample("normal", sa, sb, 1.0, ia.name, ib.name,
-                                coords, {"a": da, "b": db}))
-    for i in range(policy.n_cross):
-        rng = derive_rng(seed, "pair", "cross", f"{i:05d}")
-        ip, iname = _pick(rng, pos), _pick(rng, neg)
-        img_p, dp = augment_chain(ip.image, rng)
-        img_n, dn = augment_chain(iname.image, rng)
-        ti = int(rng.integers(n_tiles))
-        coords, sp = tile(img_p.astype(np.float32), policy.tile_size)[ti]
-        _, sn = tile(img_n.astype(np.float32), policy.tile_size)[ti]
-        eta = ip.eta if ip.eta is not None else policy.default_eta
-        pairs.append(PairSample("cross", sp, sn, float(eta), ip.name, iname.name,
-                                coords, {"a": dp, "b": dn}))
+    # normal pairs draw both images from neg, cross pairs image a from pos
+    for kind, n, pool_a in (("normal", policy.n_normal, neg), ("cross", policy.n_cross, pos)):
+        for i in range(n):
+            rng = derive_rng(seed, "pair", kind, f"{i:05d}")
+            ia, ib = _pick(rng, pool_a), _pick(rng, neg)
+            img_a, da = augment_chain(ia.image, rng)
+            img_b, db = augment_chain(ib.image, rng)
+            ti = int(rng.integers(n_tiles))
+            coords, sa = tile(img_a.astype(np.float32), policy.tile_size)[ti]
+            _, sb = tile(img_b.astype(np.float32), policy.tile_size)[ti]
+            eta = 1.0 if kind == "normal" else (policy.default_eta if ia.eta is None else ia.eta)
+            pairs.append(PairSample(kind, sa, sb, float(eta), ia.name, ib.name,
+                                    coords, {"a": da, "b": db}))
     return pairs

@@ -100,14 +100,8 @@ def _load_run_config(path):
 
 def _cmd_gen_data(args):
     params = phantoms.PRESETS[args.difficulty](size=args.size)
-    try:
-        summary = phantoms.generate_phantoms(args.out, args.count,
-                                             args.positive_frac, args.seed,
-                                             params=params)
-    except ValueError as e:
-        raise UsageError(str(e)) from None
-    except OSError as e:
-        raise DataError(f"cannot write dataset: {e}") from None
+    summary = phantoms.generate_phantoms(args.out, args.count, args.positive_frac,
+                                         args.seed, params=params)
     print(f"wrote {summary['count']} images ({summary['n_pos']} positive) to "
           f"{args.out}; splits: " +
           ", ".join(f"{k}={v}" for k, v in sorted(summary["splits"].items())))
@@ -168,11 +162,7 @@ def _cmd_infer(args):
 
 
 def _cmd_prune(args):
-    state = trainer.load_state(args.ckpt)
-    try:
-        pruned = trainer.prune_state(state, args.depth)
-    except ValueError as e:
-        raise UsageError(str(e)) from None
+    pruned = trainer.prune_state(trainer.load_state(args.ckpt), args.depth)
     trainer.save_state(pruned, args.out)
     print(f"pruned to depth {args.depth}: "
           f"{pruned.model_a.parameter_count()} parameters per model")
@@ -248,7 +238,7 @@ def main(argv=None):
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except DataError as e:
+    except (DataError, OSError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 2
     except NumericError as e:

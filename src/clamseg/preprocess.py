@@ -7,9 +7,10 @@ cropping so background never leaks into the resampled frame.  The crop is the
 mask bounding box plus a 4-pixel margin (clamped), padded to square, then
 resampled bilinearly to the output size.
 
-A ``geometry.tsv`` sidecar records the crop box and padding for every image
-so that masks living in the source frame (for example held-out evaluation
-masks) can be mapped into the output frame later.
+A ``geometry.tsv`` sidecar records the crop box and padding for every image,
+and the source directory relative to the output directory, so that masks
+living in the source frame (for example held-out evaluation masks) can be
+mapped into the output frame later, also after both directories move together.
 """
 
 import os
@@ -88,7 +89,11 @@ def write_geometry(out_dir, source_dir, geoms):
 
 
 def read_geometry(out_dir):
-    """Returns (source data dir, {image basename: geometry dict})."""
+    """Returns (absolute source data dir, {image basename: geometry dict}).
+
+    The recorded source dir is resolved against ``out_dir``; an absolute one
+    stays itself.
+    """
     path = os.path.join(out_dir, "geometry.tsv")
     try:
         with open(path, "r", encoding="ascii") as fh:
@@ -97,7 +102,7 @@ def read_geometry(out_dir):
         raise DataError(f"cannot read {path}: {e}") from None
     if not lines or not lines[0].startswith("# source\t"):
         raise DataError(f"{path}: missing source header")
-    source_dir = lines[0].split("\t", 1)[1]
+    source_dir = os.path.abspath(os.path.join(out_dir, lines[0].split("\t", 1)[1]))
     geoms = {}
     for line in lines[2:]:
         if not line.strip():
@@ -160,5 +165,5 @@ def preprocess_dataset(in_dir, out_dir, mask_mode="external", out_size=256):
         write_manifest(manifest_path(out_dir, split), kept)
         counts[split] = {"in": len(records), "out": len(kept)}
 
-    write_geometry(out_dir, os.path.abspath(in_dir), geoms)
+    write_geometry(out_dir, os.path.relpath(in_dir, out_dir), geoms)
     return {"splits": counts, "warnings": warnings}

@@ -35,6 +35,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NumericError
+from .imops import _axis_taps
 
 _FLOAT_DTYPES = (np.float32, np.float64)
 
@@ -134,31 +135,11 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __sub__(self, other):
-        return add(self, -_wrap(other, self))
-
-    def __rsub__(self, other):
-        return add(_wrap(other, self), -self)
-
-    def __truediv__(self, scalar):
-        if isinstance(scalar, Tensor):
-            raise TypeError("tensor/tensor division is not part of the op set; use bounded_ratio or scalars")
-        return mul(self, 1.0 / float(scalar))
-
     def sum(self):
         return tsum(self)
 
     def mean(self):
         return tmean(self)
-
-
-def _wrap(x, like):
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.full((), x, dtype=like.dtype))
 
 
 def _check_finite(arr, op):
@@ -204,14 +185,26 @@ def _same_shape(a, b, op):
 # ---------------------------------------------------------------------------
 # elementwise and scalar ops
 
-def add(a, b):
-    a = a if isinstance(a, Tensor) else _wrap(a, b)
-    b = b if isinstance(b, Tensor) else _wrap(b, a)
+def _operands(a, b, op):
+    """(a, b, scalar) of a binary op; ``scalar`` is True when only b is 0-d.
+
+    A number becomes a 0-d tensor in the other operand's dtype, and a 0-d
+    operand goes second.  Unless ``scalar``, shapes and dtypes must match.
+    """
+    if not isinstance(a, Tensor):
+        a = Tensor(np.full((), a, dtype=b.data.dtype))
+    if not isinstance(b, Tensor):
+        b = Tensor(np.full((), b, dtype=a.data.dtype))
     if a.data.shape == () and b.data.shape != ():
         a, b = b, a
     scalar = b.data.shape == () and a.data.shape != ()
     if not scalar:
-        _same_shape(a, b, "add")
+        _same_shape(a, b, op)
+    return a, b, scalar
+
+
+def add(a, b):
+    a, b, scalar = _operands(a, b, "add")
     out = a.data + b.data
 
     def grad_fn(g):
@@ -222,13 +215,7 @@ def add(a, b):
 
 
 def mul(a, b):
-    a = a if isinstance(a, Tensor) else _wrap(a, b)
-    b = b if isinstance(b, Tensor) else _wrap(b, a)
-    if a.data.shape == () and b.data.shape != ():
-        a, b = b, a
-    scalar = b.data.shape == () and a.data.shape != ()
-    if not scalar:
-        _same_shape(a, b, "mul")
+    a, b, scalar = _operands(a, b, "mul")
     with np.errstate(over="ignore"):
         out = a.data * b.data
 
@@ -375,28 +362,6 @@ def softmax_channels(x):
     return _result(p, "softmax_channels", (x,), grad_fn)
 
 
-def _im2col(a, k, stride, pad):
-    """(B, C*k*k, Ho*Wo) columns of the k x k windows of ``a`` zero-padded by ``pad``.
-
-    A negative ``pad`` crops that many pixels from each side instead.
-    """
-    B, C, H, W = a.shape
-    if pad > 0:
-        # a zeroed buffer plus one slice copy: 2-7x faster than np.pad at the model's shapes
-        padded = np.zeros((B, C, H + 2 * pad, W + 2 * pad), dtype=a.dtype)
-        padded[:, :, pad:pad + H, pad:pad + W] = a
-        a = padded
-    elif pad < 0:
-        a = a[:, :, -pad:pad, -pad:pad]
-    H, W = a.shape[2:]
-    Ho = (H - k) // stride + 1
-    Wo = (W - k) // stride + 1
-    s0, s1, s2, s3 = a.strides
-    cols = np.lib.stride_tricks.as_strided(
-        a, (B, C, k, k, Ho, Wo), (s0, s1, s2, s3, s2 * stride, s3 * stride), writeable=False)
-    return cols.reshape(B, C * k * k, Ho * Wo)
-
-
 # Smallest per-sample column count Cin*k*k*Ho*Wo that takes the tap path.
 # The tap path makes k*k small products where im2col makes one copy and one
 # product, so its fixed cost per call is higher.  Forward + backward on one
@@ -413,15 +378,35 @@ def _flat_pad(a, pad, k):
     The buffer is (B, C, Hp*Wp + k - 1); the k - 1 trailing zeros let tap
     (i, j) of a k x k correlation be the contiguous slice that starts at
     ``i*Wp + j`` and is ``Ho*Wp`` long.  A negative ``pad`` crops instead.
+    At pad 0 and k = 1 the buffer is a reshape of ``a``, a view when ``a``
+    is contiguous.
     """
     if pad < 0:
         a = a[:, :, -pad:pad, -pad:pad]
         pad = 0
     B, C, H, W = a.shape
+    if pad == 0 and k == 1:
+        return a.reshape(B, C, H * W), W
     Hp, Wp = H + 2 * pad, W + 2 * pad
     buf = np.zeros((B, C, Hp * Wp + k - 1), dtype=a.dtype)
     buf[:, :, :Hp * Wp].reshape(B, C, Hp, Wp)[:, :, pad:pad + H, pad:pad + W] = a
     return buf, Wp
+
+
+def _window_cols(buf, Wp, k, stride):
+    """(B, C*k*k, Ho*Wo) columns of the k x k windows of a ``_flat_pad`` buffer.
+
+    One strided view of the buffer (row stride Wp) at ``stride``; the
+    reshape copies it, except for a 1 x 1 window at stride 1.
+    """
+    B, C, n = buf.shape
+    Hp = (n - k + 1) // Wp
+    Ho, Wo = (Hp - k) // stride + 1, (Wp - k) // stride + 1
+    s0, s1, e = buf.strides
+    row = Wp * e
+    cols = np.lib.stride_tricks.as_strided(
+        buf, (B, C, k, k, Ho, Wo), (s0, s1, row, e, row * stride, e * stride), writeable=False)
+    return cols.reshape(B, C * k * k, Ho * Wo)
 
 
 def _tap_slices(buf, Wp, k, n):
@@ -456,15 +441,15 @@ def conv2d(x, w, b=None, stride=1, padding=0):
     side is ceil(H / stride).  Gradients are recorded for input, kernel and
     bias; the input gradient is None when the input is plain data.
 
-    Two paths compute the same correlation.  A stride-1 conv with k > 1 whose
-    per-sample column count Cin*k*k*Ho*Wo reaches ``_TAP_MIN_COLS`` takes the
-    tap path: the input is zero-padded once into a row-flattened buffer
-    (``_flat_pad``) and the output is the sum of k*k kernel-tap products
-    with shifted slices of it.  Every other conv takes the im2col path: one
-    product of the flattened kernel with the (B, Cin*k*k, Ho*Wo) window
-    columns.  The two round differently, so the choice depends on the
-    sample's shape only, never on B: a sample run alone takes the same path
-    as in a batch and gets the same bits.
+    Both paths read the input zero-padded once into a row-flattened buffer
+    (``_flat_pad``).  A stride-1 conv with k > 1 whose per-sample column
+    count Cin*k*k*Ho*Wo reaches ``_TAP_MIN_COLS`` takes the tap path: the
+    output is the sum of k*k kernel-tap products with shifted slices of the
+    buffer.  Every other conv takes the im2col path: one product of the
+    flattened kernel with the (B, Cin*k*k, Ho*Wo) window columns, a strided
+    view of the buffer (``_window_cols``).  The two round differently, so
+    the choice depends on the sample's shape only, never on B: a sample run
+    alone takes the same path as in a batch and gets the same bits.
 
     Backward: the kernel gradient is, per sample and summed over the batch,
     the product of the upstream gradient with the forward columns (im2col) or
@@ -502,12 +487,13 @@ def conv2d(x, w, b=None, stride=1, padding=0):
 
     taps = stride == 1 and k > 1 and Cin * k * k * Ho * Wo >= _TAP_MIN_COLS
     with np.errstate(over="ignore", invalid="ignore"):
+        buf, Wp = _flat_pad(x.data, padding, k)
         if taps:
-            buf, Wp = _flat_pad(x.data, padding, k)
             # contiguous (Cout, Cin) tap blocks: a strided w[:, :, i, j] misses BLAS
             out = _tap_correlate(buf, Wp, w.data.transpose(2, 3, 0, 1).copy())
         else:
-            colm = _im2col(x.data, k, stride, padding)
+            colm = _window_cols(buf, Wp, k, stride)
+            buf = None  # the kernel gradient reads the columns only
             wm = w.data.reshape(Cout, Cin * k * k)
             out = np.matmul(wm, colm).reshape(B, Cout, Ho, Wo)
         if b is not None:
@@ -528,12 +514,14 @@ def conv2d(x, w, b=None, stride=1, padding=0):
             gw = np.matmul(colm, gm.transpose(0, 2, 1)).sum(axis=0).T.reshape(w.data.shape)
         if not needs_gx:
             gx = None
-        elif taps:
-            gbuf, gWp = _flat_pad(g, k - 1 - padding, k)
-            gx = _tap_correlate(gbuf, gWp, w.data[:, :, ::-1, ::-1].transpose(2, 3, 1, 0).copy())
         elif stride == 1:
-            wt = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(Cin, Cout * k * k)
-            gx = np.matmul(wt, _im2col(g, k, 1, k - 1 - padding)).reshape(B, Cin, H, W)
+            gbuf, gWp = _flat_pad(g, k - 1 - padding, k)
+            wf = w.data[:, :, ::-1, ::-1]
+            if taps:
+                gx = _tap_correlate(gbuf, gWp, wf.transpose(2, 3, 1, 0).copy())
+            else:
+                wt = wf.transpose(1, 0, 2, 3).reshape(Cin, Cout * k * k)
+                gx = np.matmul(wt, _window_cols(gbuf, gWp, k, 1)).reshape(B, Cin, H, W)
         else:
             # correlating a zero-dilated gradient measured 2.5x slower at the downsampler shapes
             gcols = np.matmul(wm.T, gm).reshape(B, Cin, k, k, Ho, Wo)
@@ -554,16 +542,16 @@ def conv2d(x, w, b=None, stride=1, padding=0):
 def _up2x_matrix(n, dtype):
     """The (2n x n) half-pixel interpolation matrix of one axis (read-only).
 
-    Row j holds the two taps of output pixel j; at the borders both taps
-    clip to the same source pixel and their weights add up.
+    Row j holds the two taps of output pixel j (``imops._axis_taps``); at
+    the borders both taps clip to the same source pixel and their weights
+    add up.
     """
+    i0, i1, t = _axis_taps(n, 2 * n)
+    t = t.astype(dtype)
     dst = np.arange(2 * n)
-    src = (dst + 0.5) / 2 - 0.5
-    f = np.floor(src)
-    t = (src - f).astype(dtype)
     u = np.zeros((2 * n, n), dtype=dtype)
-    u[dst, np.clip(f, 0, n - 1).astype(np.intp)] += 1 - t
-    u[dst, np.clip(f + 1, 0, n - 1).astype(np.intp)] += t
+    u[dst, i0] += 1 - t
+    u[dst, i1] += t
     u.flags.writeable = False
     return u
 
@@ -592,11 +580,10 @@ def upsample_bilinear2x(x):
 # reverse pass
 
 def backward(loss):
-    """Accumulate d(loss)/d(leaf) into every reachable requires_grad leaf.
+    """Accumulate d(loss)/d(leaf) into the ``.grad`` of every reachable requires_grad leaf.
 
-    Returns a dict mapping each such leaf tensor to its gradient array (the
-    same array stored in ``leaf.grad``).  The tape is consumed: calling
-    backward again without a fresh forward pass raises.
+    The tape is consumed: calling backward again without a fresh forward
+    pass raises.
     """
     if not isinstance(loss, Tensor):
         raise TypeError("backward expects a Tensor")
@@ -623,7 +610,6 @@ def backward(loss):
                     stack.append((p, False))
 
     grads = {id(loss): np.ones((), dtype=loss.data.dtype)}
-    leaf_grads = {}
     for t in reversed(topo):
         g = grads.pop(id(t), None)
         if g is None:
@@ -632,7 +618,6 @@ def backward(loss):
         if node is None:
             if t.requires_grad:
                 t.grad += g
-                leaf_grads[t] = t.grad
             continue
         for p, pg in zip(node.parents, node.grad_fn(g)):
             if pg is None:
@@ -642,4 +627,3 @@ def backward(loss):
             else:
                 grads[id(p)] = pg
         t._node = None
-    return leaf_grads

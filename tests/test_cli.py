@@ -268,6 +268,25 @@ def test_infer_missing_image_exits_2(ws, tmp_path, capsys):
     assert not os.path.exists(tmp_path / "m.pgm")
 
 
+def test_infer_unwritable_out_exits_2(ws, tmp_path, capsys):
+    out = str(tmp_path / "missing_dir" / "m.pgm")
+    assert cli.main(["infer", "--ckpt", ws["ckpt"], "--image", ws["test_image"],
+                     "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and out in err
+    assert not os.path.exists(tmp_path / "missing_dir")
+
+
+def test_preprocess_out_under_a_regular_file_exits_2(ws, tmp_path, capsys):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory\n")
+    assert cli.main(["preprocess", "--in", ws["data"], "--out", str(blocker / "pre"),
+                     "--size", "16"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and str(blocker) in err
+    assert blocker.read_text() == "not a directory\n"
+
+
 def test_preprocess_sizes_and_idempotence(tmp_path, capsys):
     data = str(tmp_path / "raw")
     assert cli.main(["gen-data", "--out", data, "--count", "6",

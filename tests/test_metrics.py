@@ -167,6 +167,20 @@ def test_evaluate_preprocessed_dataset_uses_geometry(tmp_path):
     assert any(lab == "pos" for lab in labels.values())
 
 
+def test_evaluate_finds_hidden_masks_after_both_directories_move(tmp_path):
+    before = tmp_path / "before"
+    os.makedirs(before)
+    raw = raw_dataset(before, n=6, size=32)
+    preprocess.preprocess_dataset(raw, str(before / "pre"), mask_mode="external", out_size=16)
+    ckpt = checkpointed_state(tmp_path)
+    want = metrics.evaluate(ckpt, str(before / "pre"), split="test", trials=100)
+    after = tmp_path / "after"
+    os.rename(before, after)
+    got = metrics.evaluate(ckpt, str(after / "pre"), split="test", trials=100)
+    assert got["n_images"] == want["n_images"] >= 2
+    assert got["per_image"] == want["per_image"]
+
+
 def test_evaluate_missing_mask_is_error(tmp_path):
     data = raw_dataset(tmp_path)
     ckpt = checkpointed_state(tmp_path)

@@ -142,6 +142,27 @@ def test_preprocess_dataset_external(tmp_path):
         assert g["out_size"] == 48 and g["src_h"] == 64
 
 
+def test_geometry_sidecar_does_not_depend_on_the_parent_directory(tmp_path):
+    # the same raw dataset preprocessed under two parents records the same bytes
+    sidecars = []
+    for parent in ("one", "two"):
+        os.makedirs(tmp_path / parent)
+        src = make_dataset(tmp_path / parent)
+        dst = str(tmp_path / parent / "pre")
+        preprocess.preprocess_dataset(src, dst, mask_mode="external", out_size=48)
+        assert preprocess.read_geometry(dst)[0] == os.path.abspath(src)
+        with open(os.path.join(dst, "geometry.tsv"), "rb") as fh:
+            sidecars.append(fh.read())
+    assert sidecars[0] == sidecars[1]
+    # an older sidecar with an absolute source header still resolves to it
+    other = os.path.abspath(tmp_path / "one" / "src")
+    text = sidecars[1].decode("ascii")
+    with open(os.path.join(dst, "geometry.tsv"), "w", encoding="ascii") as fh:
+        fh.write(f"# source\t{other}" + text[text.index("\n"):])
+    source_dir, geoms = preprocess.read_geometry(dst)
+    assert source_dir == other and len(geoms) == 6
+
+
 def test_preprocess_dataset_threshold_mode(tmp_path):
     src = make_dataset(tmp_path)
     dst = str(tmp_path / "pre")
