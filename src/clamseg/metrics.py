@@ -39,13 +39,16 @@ def iou(pred, truth):
     return int((pred & truth).sum()) / union
 
 
+MIN_TRIALS = 100  # fewest random-baseline trials for a stable mean
+
+
 def random_baseline(truths, positive_rate, seed=0, trials=200):
     """Mean Dice of random masks firing at positive_rate against the truths."""
     truths = [np.asarray(t).astype(bool) for t in truths]
     if not truths:
         raise ValueError("no truth masks given")
-    if trials < 100:
-        raise ValueError(f"need at least 100 trials, got {trials}")
+    if trials < MIN_TRIALS:
+        raise ValueError(f"need at least {MIN_TRIALS} trials, got {trials}")
     if not 0.0 <= positive_rate <= 1.0:
         raise ValueError(f"positive rate {positive_rate} outside [0, 1]")
     rng = derive_rng(seed, "baseline")
@@ -71,6 +74,8 @@ def evaluate(ckpt_path, data_dir, split="test", threshold=0.5, depth=None,
     read from `<data_dir>/eval_masks` as-is.  Writes a human-readable table
     and a key=value file next to the checkpoint and returns the report dict.
     """
+    if trials < MIN_TRIALS:
+        raise ValueError(f"need at least {MIN_TRIALS} trials, got {trials}")
     state = trainer.load_state(ckpt_path)
     records = read_manifest(manifest_path(data_dir, split))
     if not records:

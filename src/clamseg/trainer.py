@@ -15,6 +15,7 @@ positive- vs negative-labeled training images).
 
 import copy
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,17 +184,20 @@ def _settings_block(state):
     return "".join(lines)
 
 
-def save_state(state, path):
-    tensors = {}
-    for tag, model in state.models():
-        for name, arr in model.state_arrays().items():
-            tensors[f"model_{tag}/{name}"] = arr
+def _checkpoint_arrays(state):
+    """Each checkpoint tensor name -> the state's live array: ``model_<tag>/<param>``,
+    then adam's ``opt/m|v/<tag>/<param>``.  Save, load and prune all read it."""
+    arrays = {f"model_{tag}/{name}": t.data for tag, model in state.models()
+              for name, t in model.parameter_items()}
     opt = state.optimizer
-    if opt.config.kind == "adam":
-        for key in opt.m:
-            tensors[f"opt/m/{key}"] = opt.m[key]
-            tensors[f"opt/v/{key}"] = opt.v[key]
-    checkpoint.save_checkpoint(path, _settings_block(state), tensors)
+    if opt.m is not None:
+        for slot, store in (("m", opt.m), ("v", opt.v)):
+            arrays.update((f"opt/{slot}/{key}", arr) for key, arr in store.items())
+    return arrays
+
+
+def save_state(state, path):
+    checkpoint.save_checkpoint(path, _settings_block(state), _checkpoint_arrays(state))
 
 
 def load_state(path):
@@ -231,23 +235,17 @@ def load_state(path):
         absent = [ln for ln in expected.splitlines() if ln not in text.splitlines()]
         raise DataError(f"{path}: config block is not the text of its own settings"
                         + (f"; missing {absent[0].split('  #')[0]!r}" if absent else ""))
-    for tag, model in state.models():
-        prefix = f"model_{tag}/"
-        named = {k[len(prefix):]: v for k, v in tensors.items() if k.startswith(prefix)}
-        try:
-            model.load_state(named)
-        except ValueError as e:
-            raise DataError(f"{path}: {e}") from None
-    if opt_config.kind == "adam":
-        for key in state.optimizer.params:
-            for slot, store in (("m", state.optimizer.m), ("v", state.optimizer.v)):
-                full = f"opt/{slot}/{key}"
-                if full not in tensors:
-                    raise DataError(f"{path}: missing optimizer moment {full!r}")
-                arr = tensors[full]
-                if arr.shape != store[key].shape:
-                    raise DataError(f"{path}: moment shape mismatch for {full!r}")
-                store[key] = arr.copy()
+    arrays = _checkpoint_arrays(state)
+    unmatched = sorted(set(tensors) ^ set(arrays))
+    if unmatched:
+        name = unmatched[0]
+        raise DataError(f"{path}: {'unexpected' if name in tensors else 'missing'} "
+                        f"tensor {name!r}")
+    for name, arr in arrays.items():
+        if tensors[name].shape != arr.shape:
+            raise DataError(f"{path}: tensor {name!r} has shape {tensors[name].shape}, "
+                            f"expected {arr.shape}")
+        arr[...] = tensors[name]
     return state
 
 
@@ -256,14 +254,12 @@ def prune_state(state, depth):
     the surviving parameters; head outputs stay bit-identical."""
     model_a = state.model_a.prune(depth)
     model_b = model_a if state.siamese else state.model_b.prune(depth)
-    old = state.optimizer
-    new = _new_state(model_a, model_b, old.config, state.policy, state.seed)
-    new.optimizer.t = old.t
+    new = _new_state(model_a, model_b, state.optimizer.config, state.policy, state.seed)
+    new.optimizer.t = state.step
     new.marker_channel = state.marker_channel
-    if old.config.kind == "adam":
-        for key in new.optimizer.params:
-            new.optimizer.m[key] = old.m[key].copy()
-            new.optimizer.v[key] = old.v[key].copy()
+    parent = _checkpoint_arrays(state)
+    for name, arr in _checkpoint_arrays(new).items():
+        arr[...] = parent[name]
     return new
 
 
@@ -324,16 +320,30 @@ def format_metrics_line(m):
             f"\t{m['neg_loss_mean']:.6f}\t{m['grad_norm']:.6f}")
 
 
+def _carried_log_lines(path, step):
+    """The lines of metrics log ``path`` up to ``step``; none if it is absent (after ``prune``)."""
+    if not os.path.exists(path):
+        return []
+    with open(path, encoding="ascii") as fh:
+        try:
+            return [ln for ln in fh if int(ln.split("\t", 1)[0]) <= step]
+        except ValueError:
+            raise DataError(f"{path}: not a metrics log") from None
+
+
 def run_training(data_dir, model_config, opt_config, policy, steps, seed,
                  out_path, checkpoint_every=0, siamese=False, resume_from=None):
     """Train for `steps` total steps; write the checkpoint and its metrics log
-    ``<out_path>.log``.
+    ``<out_path>.log``, one line per step as the step ends.
 
     With resume_from, the checkpoint's own config snapshot governs and
-    training continues from its recorded step up to `steps`.
+    training continues from its recorded step up to `steps`; the log starts
+    with the resumed checkpoint's log lines up to its step.
     """
+    carried = []
     if resume_from is not None:
         state = load_state(resume_from)
+        carried = _carried_log_lines(resume_from + ".log", state.step)
     else:
         state = init_state(model_config, opt_config, policy, seed, siamese=siamese)
     if steps < state.step:
@@ -341,19 +351,19 @@ def run_training(data_dir, model_config, opt_config, policy, steps, seed,
 
     batch = augment.load_batch(data_dir, "train")
     metrics = []
-    lines = []
-    for i in range(state.step, steps):
-        step_seed = derive_key(state.seed, "step", f"{i:06d}")
-        pairs = augment.make_pairs(batch, step_seed, state.policy)
-        m = train_step(state, pairs)
-        metrics.append(m)
-        lines.append(format_metrics_line(m))
-        if checkpoint_every and state.step % checkpoint_every == 0:
-            save_state(state, out_path)
+    with open(out_path + ".log", "w", encoding="ascii") as log:
+        log.writelines(carried)
+        log.flush()
+        for i in range(state.step, steps):
+            step_seed = derive_key(state.seed, "step", f"{i:06d}")
+            pairs = augment.make_pairs(batch, step_seed, state.policy)
+            m = train_step(state, pairs)
+            metrics.append(m)
+            log.write(format_metrics_line(m) + "\n")
+            log.flush()
+            if checkpoint_every and state.step % checkpoint_every == 0:
+                save_state(state, out_path)
 
     state.marker_channel = calibrate_marker_channel(state, batch)
     save_state(state, out_path)
-    with open(out_path + ".log", "w", encoding="ascii") as fh:
-        for line in lines:
-            fh.write(line + "\n")
     return state, metrics

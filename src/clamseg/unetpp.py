@@ -236,25 +236,6 @@ class UnetPP:
         for t in self.params.values():
             t.zero_grad()
 
-    def load_state(self, named_arrays):
-        """Overwrite parameter values from a name -> array map (exact match)."""
-        unknown = set(named_arrays) - set(self.params)
-        if unknown:
-            raise ValueError(f"unknown parameter names: {sorted(unknown)[:5]}")
-        missing = set(self.params) - set(named_arrays)
-        if missing:
-            raise ValueError(f"missing parameter values: {sorted(missing)[:5]}")
-        for name, arr in named_arrays.items():
-            tgt = self.params[name]
-            arr = np.asarray(arr, dtype=self.dtype)
-            if arr.shape != tgt.data.shape:
-                raise ValueError(f"shape mismatch for {name}: {arr.shape} != {tgt.data.shape}")
-            tgt.data = arr.copy()
-            tgt.grad = np.zeros_like(tgt.data)
-
-    def state_arrays(self):
-        return {name: t.data.copy() for name, t in self.params.items()}
-
     # -- pruning ------------------------------------------------------------
 
     def prune(self, depth):
@@ -273,5 +254,6 @@ class UnetPP:
             repeat_levels=[i for i in cfg.repeat_levels if i <= d],
             heads=[h for h in cfg.heads if h <= d])
         out = UnetPP(sub, seed=self.seed, dtype=self.dtype, truncated=truncated)
-        out.load_state({name: self.params[name].data for name in out.params})
+        for name, t in out.params.items():
+            t.data = self.params[name].data.copy()
         return out

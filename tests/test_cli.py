@@ -99,6 +99,18 @@ def test_train_missing_data_dir_exits_2_without_checkpoint(tmp_path, capsys):
     assert not os.path.exists(ckpt)
 
 
+def test_train_out_in_missing_dir_exits_2_before_any_step(ws, tmp_path, capsys, monkeypatch):
+    steps = []
+    train_step = trainer.train_step
+    monkeypatch.setattr(trainer, "train_step",
+                        lambda *a: steps.append(1) or train_step(*a))
+    assert cli.main(["train", "--data", ws["data"], "--config", ws["cfg"],
+                     "--out", str(tmp_path / "missing" / "m.ckpt"),
+                     "--steps", "20", "--seed", "7"]) == 2
+    assert "data error" in capsys.readouterr().err
+    assert steps == []
+
+
 def test_train_bad_config_cites_line(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("levels = 2\nwat = 1\n")
@@ -134,6 +146,16 @@ def test_eval_writes_reports(ws, capsys):
     with open(kv) as fh:
         text = fh.read()
     assert "mean_dice=" in text
+
+
+def test_eval_too_few_trials_exits_1_before_any_inference(ws, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(trainer, "load_state", lambda *a: calls.append("load"))
+    monkeypatch.setattr(trainer, "infer_state", lambda *a, **kw: calls.append("infer"))
+    assert cli.main(["eval", "--ckpt", ws["ckpt"], "--data", ws["data"],
+                     "--trials", "50"]) == 1
+    assert "at least 100 trials" in capsys.readouterr().err
+    assert calls == []
 
 
 def test_eval_missing_checkpoint_exits_2(ws, capsys):

@@ -258,7 +258,8 @@ def test_conv2d_float32_backward_matches_float64_on_unetpp_step():
     def step_grads(dtype, scatter=False):
         model = UnetPP(cfg, seed=5, dtype=dtype)
         if dtype == np.float64:
-            model.load_state(UnetPP(cfg, seed=5).state_arrays())
+            for name, t in UnetPP(cfg, seed=5).params.items():
+                model.params[name].data = t.data.astype(np.float64)
         conv2d = T.conv2d
 
         def scatter_conv2d(xt, wt, bt=None, stride=1, padding=0):

@@ -1,10 +1,12 @@
 import dataclasses
 import os
+import re
 
 import numpy as np
 import pytest
 
-from clamseg import augment, config, gradcheck, losses, phantoms, trainer
+from clamseg import (augment, checkpoint, cli, config, gradcheck, losses, pgm, phantoms,
+                     trainer)
 from clamseg import tensor as T
 from clamseg.errors import DataError, NonFiniteLossError
 from clamseg.manifest import Record, manifest_path, write_manifest
@@ -339,6 +341,64 @@ def test_loaded_state_trains_identically(tmp_path):
     assert params_bytes(sa.model_a) == params_bytes(sb.model_a)
 
 
+def test_state_roundtrip_preserves_forward_bits(tmp_path):
+    state = tiny_state(kind="adam", seed=21)
+    trainer.train_step(state, [pair_of("cross", phantom_slice(1), phantom_slice(2))])
+    p = str(tmp_path / "s.clam")
+    trainer.save_state(state, p)
+    back = trainer.load_state(p)
+    x = T.Tensor(np.stack([phantom_slice(3), phantom_slice(4)])[:, None])
+    for model, loaded in ((state.model_a, back.model_a), (state.model_b, back.model_b)):
+        assert loaded.forward(x).data.tobytes() == model.forward(x).data.tobytes()
+
+
+def _resaved(src, dst, edit):
+    """Copy checkpoint src to dst with its name -> array map changed by edit."""
+    text, tensors = checkpoint.load_checkpoint(src)
+    edit(tensors)
+    checkpoint.save_checkpoint(dst, text, tensors)
+    return dst
+
+
+def test_load_state_rejects_bad_names_and_shapes(tmp_path):
+    src = str(tmp_path / "s.clam")
+    trainer.save_state(tiny_state(kind="adam"), src)
+    bad = str(tmp_path / "bad.clam")
+    cases = [
+        ("model_a/node_9_9.conv1.weight", lambda t, n: t.update({n: np.zeros(3, np.float32)}),
+         "unexpected tensor"),
+        ("model_a/head_1.bias", lambda t, n: t.pop(n), "missing tensor"),
+        ("opt/v/b/head_1.bias", lambda t, n: t.pop(n), "missing tensor"),
+        ("model_b/node_0_1.conv2.weight", lambda t, n: t.update({n: t[n][:1]}), "has shape"),
+        ("opt/m/a/head_1.weight", lambda t, n: t.update({n: t[n].ravel()}), "has shape"),
+    ]
+    for name, edit, what in cases:
+        _resaved(src, bad, lambda t: edit(t, name))
+        with pytest.raises(DataError, match=re.escape(repr(name))) as e:
+            trainer.load_state(bad)
+        assert what in str(e.value)
+
+
+@pytest.mark.parametrize("kind, siamese, stray", [
+    ("sgd", True, "model_b/node_0_0.conv1.weight"),
+    ("sgd", False, "opt/m/a/node_0_0.conv1.weight"),
+    ("adam", False, "zzz"),
+], ids=["model_b-in-siamese", "moment-in-sgd", "other-name"])
+def test_stray_tensor_is_a_data_error(tmp_path, capsys, kind, siamese, stray):
+    # a stray tensor is refused even when its shape fits a real parameter
+    src = str(tmp_path / "s.clam")
+    trainer.save_state(tiny_state(kind=kind, siamese=siamese), src)
+    bad = _resaved(src, str(tmp_path / "bad.clam"),
+                   lambda t: t.update({stray: t["model_a/node_0_0.conv1.weight"]}))
+    with pytest.raises(DataError, match=f"unexpected tensor {re.escape(repr(stray))}"):
+        trainer.load_state(bad)
+    image = str(tmp_path / "img.pgm")
+    pgm.write_unit(image, phantom_slice(3, size=16))
+    assert cli.main(["infer", "--ckpt", bad, "--image", image,
+                     "--out", str(tmp_path / "m.pgm")]) == 2
+    assert stray in capsys.readouterr().err
+
+
 # -- run_training ----------------------------------------------------------
 
 def run_args(data, out, steps=4, seed=123):
@@ -378,6 +438,28 @@ def test_resume_matches_single_run(tmp_path):
     resumed = str(tmp_path / "res.clam")
     trainer.run_training(**dict(run_args(data, resumed, steps=6), resume_from=half))
     assert open(full, "rb").read() == open(resumed, "rb").read()
+    assert open(full + ".log", "rb").read() == open(resumed + ".log", "rb").read()
+
+
+def test_resume_in_place_after_a_crash_matches_single_run(tmp_path, monkeypatch):
+    data = make_dataset(tmp_path)
+    full = str(tmp_path / "full.clam")
+    trainer.run_training(**run_args(data, full, steps=6))
+    out = str(tmp_path / "r.clam")
+
+    def crash(state, batch):
+        raise RuntimeError("killed")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(trainer, "calibrate_marker_channel", crash)
+        with pytest.raises(RuntimeError):
+            trainer.run_training(**run_args(data, out, steps=3), checkpoint_every=2)
+    # the resume point is step 2; the streamed log already holds step 3
+    assert trainer.load_state(out).step == 2
+    assert len(open(out + ".log").read().splitlines()) == 3
+    trainer.run_training(**dict(run_args(data, out, steps=6), resume_from=out))
+    assert open(full, "rb").read() == open(out, "rb").read()
+    assert open(full + ".log", "rb").read() == open(out + ".log", "rb").read()
 
 
 def test_resume_zero_steps_resaves_identically(tmp_path):
@@ -387,6 +469,18 @@ def test_resume_zero_steps_resaves_identically(tmp_path):
     again = str(tmp_path / "again.clam")
     trainer.run_training(**dict(run_args(data, again, steps=3), resume_from=out))
     assert open(out, "rb").read() == open(again, "rb").read()
+    assert open(out + ".log", "rb").read() == open(again + ".log", "rb").read()
+
+
+def test_resume_from_a_corrupt_log_is_a_data_error(tmp_path):
+    data = make_dataset(tmp_path)
+    out = str(tmp_path / "r.clam")
+    trainer.run_training(**run_args(data, out, steps=2))
+    with open(out + ".log", "a", encoding="ascii") as fh:
+        fh.write("garbage\n")
+    with pytest.raises(DataError, match="not a metrics log"):
+        trainer.run_training(**dict(run_args(data, str(tmp_path / "o.clam"), steps=3),
+                                    resume_from=out))
 
 
 def test_resume_below_checkpoint_step_rejected(tmp_path):
