@@ -153,6 +153,9 @@ def _cmd_eval(args):
 
 
 def _cmd_infer(args):
+    out_dir = os.path.dirname(args.out) or "."
+    if not os.path.isdir(out_dir):  # fail before the checkpoint load and the inference
+        raise DataError(f"cannot write {args.out}: no directory {out_dir}")
     image = pgm.read_unit(args.image)
     mask = trainer.infer(args.ckpt, image, depth=args.depth,
                          threshold=args.threshold)

@@ -23,8 +23,12 @@ runs on identical inputs are bit-identical.  Every op treats the samples of a
 batch independently, so sample i of a batched forward is bit-identical to the
 same sample run alone.
 
-Inside ``no_grad()`` ops record nothing: forward-only inference keeps no
-backward graph alive even when its parameters require gradients.
+Inside ``no_grad()`` ops record nothing: forward-only callers (inference,
+calibration, the gradient checker's finite-difference probes) keep no
+backward graph alive even when their parameters require gradients.  Values
+that only the backward rule needs, such as relu's and clamp_min's masks, are
+built inside ``grad_fn`` from the input array captured in the forward, so
+forward-only calls never pay for them.
 """
 
 import ctypes
@@ -167,9 +171,24 @@ def _needs_grad(t):
     return t.requires_grad or t._node is not None
 
 
+def _wrap(data):
+    """Tensor without gradient around ``data``, already in a float dtype at rank <= 4.
+
+    Skips the checks and casts that ``Tensor()`` applies to user data.
+    """
+    out = Tensor.__new__(Tensor)
+    # a 0-d reduction or 0-d arithmetic yields a numpy scalar, not an array
+    out.data = data if type(data) is np.ndarray else np.asarray(data)
+    out.requires_grad = False
+    out.grad = None
+    out._node = None
+    return out
+
+
 def _result(data, op, parents, grad_fn):
+    """Wrap an op's output, in its operands' dtype, recording a node if needed."""
     _check_finite(data, op)
-    out = Tensor(data)
+    out = _wrap(data)
     if _recording and any(_needs_grad(p) for p in parents):
         out._node = TapeNode(tuple(parents), grad_fn)
     return out
@@ -192,9 +211,9 @@ def _operands(a, b, op):
     operand goes second.  Unless ``scalar``, shapes and dtypes must match.
     """
     if not isinstance(a, Tensor):
-        a = Tensor(np.full((), a, dtype=b.data.dtype))
+        a = _wrap(np.full((), a, dtype=b.data.dtype))
     if not isinstance(b, Tensor):
-        b = Tensor(np.full((), b, dtype=a.data.dtype))
+        b = _wrap(np.full((), b, dtype=a.data.dtype))
     if a.data.shape == () and b.data.shape != ():
         a, b = b, a
     scalar = b.data.shape == () and a.data.shape != ()
@@ -235,11 +254,11 @@ def mul(a, b):
 
 
 def relu(x):
-    out = np.maximum(x.data, 0)
-    mask = x.data > 0
+    xd = x.data
+    out = np.maximum(xd, 0)
 
     def grad_fn(g):
-        return (g * mask,)
+        return (g * (xd > 0),)
 
     return _result(out, "relu", (x,), grad_fn)
 
@@ -257,11 +276,11 @@ def log(x):
 def clamp_min(x, floor):
     """Elementwise max(x, floor); gradient passes where x >= floor."""
     floor = float(floor)
-    out = np.maximum(x.data, floor)
-    mask = x.data >= floor
+    xd = x.data
+    out = np.maximum(xd, floor)
 
     def grad_fn(g):
-        return (g * mask,)
+        return (g * (xd >= floor),)
 
     return _result(out, "clamp_min", (x,), grad_fn)
 
@@ -284,7 +303,7 @@ def bounded_ratio(y, p):
     denom = yd * yd + pd * pd
     live = np.maximum(np.abs(yd), np.abs(pd)) >= np.finfo(dt).tiny
     safe = np.where(live, denom, 1)
-    out = np.where(live, yd * pd / safe, 0).astype(dt)
+    out = np.where(live, yd * pd / safe, 0).astype(dt, copy=False)
     needs_gy, needs_gp = _needs_grad(y), _needs_grad(p)
 
     def grad_fn(g):
@@ -378,15 +397,15 @@ def _flat_pad(a, pad, k):
     The buffer is (B, C, Hp*Wp + k - 1); the k - 1 trailing zeros let tap
     (i, j) of a k x k correlation be the contiguous slice that starts at
     ``i*Wp + j`` and is ``Ho*Wp`` long.  A negative ``pad`` crops instead.
-    At pad 0 and k = 1 the buffer is a reshape of ``a``, a view when ``a``
-    is contiguous.
+    The buffer is always C-contiguous.  At pad 0 and k = 1 it is a
+    reshape of ``a``, a view when ``a`` is C-contiguous and a copy otherwise.
     """
     if pad < 0:
         a = a[:, :, -pad:pad, -pad:pad]
         pad = 0
     B, C, H, W = a.shape
     if pad == 0 and k == 1:
-        return a.reshape(B, C, H * W), W
+        return np.ascontiguousarray(a).reshape(B, C, H * W), W
     Hp, Wp = H + 2 * pad, W + 2 * pad
     buf = np.zeros((B, C, Hp * Wp + k - 1), dtype=a.dtype)
     buf[:, :, :Hp * Wp].reshape(B, C, Hp, Wp)[:, :, pad:pad + H, pad:pad + W] = a
@@ -396,16 +415,19 @@ def _flat_pad(a, pad, k):
 def _window_cols(buf, Wp, k, stride):
     """(B, C*k*k, Ho*Wo) columns of the k x k windows of a ``_flat_pad`` buffer.
 
-    One strided view of the buffer (row stride Wp) at ``stride``; the
-    reshape copies it, except for a 1 x 1 window at stride 1.
+    One read-only strided view of the (C-contiguous) buffer, row stride Wp,
+    at ``stride``; the reshape copies it, except for a 1 x 1 window at
+    stride 1.  The view is built with the ``np.ndarray`` constructor, which
+    costs a fraction of ``as_strided`` at gradcheck's tiny shapes.
     """
     B, C, n = buf.shape
     Hp = (n - k + 1) // Wp
     Ho, Wo = (Hp - k) // stride + 1, (Wp - k) // stride + 1
     s0, s1, e = buf.strides
     row = Wp * e
-    cols = np.lib.stride_tricks.as_strided(
-        buf, (B, C, k, k, Ho, Wo), (s0, s1, row, e, row * stride, e * stride), writeable=False)
+    cols = np.ndarray((B, C, k, k, Ho, Wo), buf.dtype, buf, 0,
+                      (s0, s1, row, e, row * stride, e * stride))
+    cols.flags.writeable = False
     return cols.reshape(B, C * k * k, Ho * Wo)
 
 
@@ -446,10 +468,12 @@ def conv2d(x, w, b=None, stride=1, padding=0):
     count Cin*k*k*Ho*Wo reaches ``_TAP_MIN_COLS`` takes the tap path: the
     output is the sum of k*k kernel-tap products with shifted slices of the
     buffer.  Every other conv takes the im2col path: one product of the
-    flattened kernel with the (B, Cin*k*k, Ho*Wo) window columns, a strided
-    view of the buffer (``_window_cols``).  The two round differently, so
-    the choice depends on the sample's shape only, never on B: a sample run
-    alone takes the same path as in a batch and gets the same bits.
+    flattened kernel with the (B, Cin*k*k, Ho*Wo) window columns
+    (``_window_cols``), a read-only strided view of the C-contiguous buffer
+    that the reshape copies unless the window is 1 x 1 at stride 1.  The two
+    paths round differently, so the choice depends on the sample's shape
+    only, never on B: a sample run alone takes the same path as in a batch
+    and gets the same bits.
 
     Backward: the kernel gradient is, per sample and summed over the batch,
     the product of the upstream gradient with the forward columns (im2col) or

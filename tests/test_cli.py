@@ -290,13 +290,18 @@ def test_infer_missing_image_exits_2(ws, tmp_path, capsys):
     assert not os.path.exists(tmp_path / "m.pgm")
 
 
-def test_infer_unwritable_out_exits_2(ws, tmp_path, capsys):
+def test_infer_unwritable_out_exits_2(ws, tmp_path, capsys, monkeypatch):
+    # the directory is checked before the checkpoint is loaded
+    calls = []
+    monkeypatch.setattr(trainer, "load_state", lambda *a: calls.append("load"))
+    monkeypatch.setattr(trainer, "infer_state", lambda *a, **kw: calls.append("infer"))
     out = str(tmp_path / "missing_dir" / "m.pgm")
     assert cli.main(["infer", "--ckpt", ws["ckpt"], "--image", ws["test_image"],
                      "--out", out]) == 2
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and out in err
     assert not os.path.exists(tmp_path / "missing_dir")
+    assert calls == []
 
 
 def test_preprocess_out_under_a_regular_file_exits_2(ws, tmp_path, capsys):

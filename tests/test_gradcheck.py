@@ -1,5 +1,7 @@
 """Tests for the finite-difference checker itself, then the op-level suite."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,85 @@ def test_constant_function_reports_zero_gradient():
     report = gc.gradcheck(lambda t: c * 1.0, x)
     assert report["pass"]
     assert report["max_rel_err"] == 0.0
+
+
+def test_wrong_gradient_by_one_part_in_a_thousand_is_detected():
+    # the Richardson fallback removes truncation error only: an analytic
+    # gradient off by a relative 1e-3 still misses at both steps
+    def square(x, scale):
+        def grad_fn(g):
+            return (g * 2.0 * scale * x.data,)
+
+        return T._result(x.data * x.data, "square", (x,), grad_fn)
+
+    x = T.Tensor(np.array([0.7, -1.2, 2.0]))
+    assert gc.gradcheck(lambda t: square(t, 1.0).sum(), x)["pass"]
+    report = gc.gradcheck(lambda t: square(t, 1.0 + 1e-3).sum(), x)
+    assert not report["pass"]
+    assert 5e-4 < report["max_rel_err"] < 2e-3
+
+
+def test_truncation_error_is_extrapolated_away():
+    # d/dx log x = 1/x; the central difference at h = 1e-3 overshoots by a
+    # relative h^2 / (3 x^2) = 1.3e-4 at x = 0.05, and the h, h/2 Richardson
+    # estimate is off by about h^4 / (5 x^4) = 3e-8
+    x = T.Tensor(np.array([0.05]))
+    report = gc.gradcheck(lambda t: T.log(t).sum(), x)
+    assert report["pass"] and report["n_checked"] == 1
+    assert report["max_rel_err"] < 1e-6
+
+
+def test_half_step_probes_are_covered_by_the_kink_skip():
+    # the signature changes between the +/-h and the +/-h/2 probes only; the
+    # extrapolated estimate would mix two pieces, so the coordinate is skipped
+    x0 = 0.05
+
+    def f(t):
+        return T.log(t).sum(), bool(abs(t.data[0] - x0) < 7.5e-4)
+
+    report = gc.gradcheck(f, T.Tensor(np.array([x0])))
+    assert report["n_skipped"] == 1 and report["n_checked"] == 0
+
+
+def test_gradcheck_records_only_the_analytic_pass(monkeypatch):
+    nodes = []
+
+    class CountingNode(T.TapeNode):
+        __slots__ = ()
+
+        def __init__(self, parents, grad_fn):
+            nodes.append(1)
+            super().__init__(parents, grad_fn)
+
+    monkeypatch.setattr(T, "TapeNode", CountingNode)
+    rng = np.random.default_rng(5)
+    # a parameter that requires grad, as in the model cases, would put every
+    # recorded probe on the tape
+    w = T.Tensor(rng.standard_normal((2, 2, 3, 3)), requires_grad=True)
+
+    def f(t):
+        return (T.relu(T.conv2d(t, w, padding=1)) * 0.5).sum()
+
+    f(T.Tensor(np.zeros((1, 2, 4, 4)), requires_grad=True))
+    per_pass = len(nodes)
+    assert per_pass == 4
+    nodes.clear()
+    report = gc.gradcheck(f, T.Tensor(rng.uniform(0.5, 1.0, (1, 2, 4, 4))))
+    assert report["n_checked"] == 32
+    assert len(nodes) == per_pass
+
+
+def test_suite_reports_do_not_depend_on_the_probes_skipping_the_tape(monkeypatch):
+    tape_free = gc.run_suite("all", seeds=range(2))
+    monkeypatch.setattr(T, "no_grad", contextlib.nullcontext)
+    assert gc.run_suite("all", seeds=range(2)) == tape_free
+
+
+def test_model_case_seeds_with_large_truncation_error_pass():
+    # at h = 1e-3 the plain central difference misses tol on these case seeds
+    results = gc.run_suite("model", seeds=[97, 167, 176])
+    failures = [(n, r) for n, r in results if not r["pass"]]
+    assert not failures, failures[:3]
 
 
 def test_kink_coordinates_are_skipped_via_signature():

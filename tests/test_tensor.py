@@ -246,6 +246,37 @@ def test_conv2d_plain_input_gets_no_gradient():
     assert gx.shape == x.shape
 
 
+@pytest.mark.parametrize("k", [1, 3])
+def test_conv2d_channel_slice_input_matches_contiguous_copy(k):
+    # a channel slice of a batch-2 array is not C-contiguous, like the
+    # pieces concat_channels' backward splits off; the window columns are
+    # built on a C-contiguous buffer either way
+    rng = np.random.default_rng(60 + k)
+    wide = rng.standard_normal((2, 5, 6, 6))
+    w = rng.standard_normal((3, 2, k, k))
+    b = rng.standard_normal(3)
+    g = rng.standard_normal((2, 3, 6, 6))
+    results = []
+    for x in (wide[:, 1:3], np.ascontiguousarray(wide[:, 1:3])):
+        tx, tw, tb = (T.Tensor(a, requires_grad=True, dtype=np.float64) for a in (x, w, b))
+        out = T.conv2d(tx, tw, tb, padding=(k - 1) // 2)
+        T.backward((out * T.Tensor(g, dtype=np.float64)).sum())
+        results.append((out.data, tx.grad, tw.grad, tb.grad))
+    assert not wide[:, 1:3].flags.c_contiguous
+    for sliced, contiguous in zip(*results):
+        np.testing.assert_array_equal(sliced, contiguous)
+
+
+def test_window_columns_of_a_one_by_one_conv_are_a_read_only_view():
+    x = np.random.default_rng(62).standard_normal((2, 5, 4, 4))[:, 1:3]
+    buf, Wp = T._flat_pad(x, 0, 1)
+    assert buf.flags.c_contiguous
+    cols = T._window_cols(buf, Wp, 1, 1)
+    assert np.shares_memory(cols, buf)
+    assert not cols.flags.writeable
+    np.testing.assert_array_equal(cols, x.reshape(2, 2, 16))
+
+
 def test_conv2d_float32_backward_matches_float64_on_unetpp_step():
     # one B=8 hybrid-loss backward through the criterion-6 lattice; float32
     # gradients from the correlation backward agree with float64 and with
@@ -427,6 +458,19 @@ def test_relu_forward_and_subgradient():
     np.testing.assert_array_equal(x.grad, [0.0, 0.0, 1.0])
 
 
+@pytest.mark.parametrize("op", [T.relu, lambda t: T.clamp_min(t, 0.25)])
+def test_relu_and_clamp_min_gradients_read_the_forward_input(op):
+    # the backward mask comes from the input array captured in the forward,
+    # not from whatever .data holds at backward time
+    x = T.Tensor(np.array([-1.0, 0.1, 0.5, 2.0]), requires_grad=True)
+    h = x * 1.0
+    out = op(h)
+    h.data = -h.data
+    T.backward((out * T.Tensor(np.array([1.0, 2.0, 3.0, 4.0]))).sum())
+    want = [0.0, 0.0, 3.0, 4.0] if op is not T.relu else [0.0, 2.0, 3.0, 4.0]
+    np.testing.assert_array_equal(x.grad, want)
+
+
 def test_log_gradient_and_nonfinite_guard():
     x = T.Tensor(np.array([0.5, 2.0]), requires_grad=True, dtype=np.float64)
     T.backward(T.log(x).sum())
@@ -587,6 +631,21 @@ def test_sum_and_mean():
 
 # ---------------------------------------------------------------------------
 # tape mechanics
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_op_outputs_keep_dtype_and_are_non_leaf_arrays(dtype):
+    rng = np.random.default_rng(70)
+    x = T.Tensor(rng.uniform(0.2, 1.0, (1, 2, 4, 4)), requires_grad=True, dtype=dtype)
+    w = T.Tensor(rng.standard_normal((2, 2, 3, 3)), dtype=dtype)
+    outs = [T.conv2d(x, w, padding=1), T.conv2d(x, w, stride=2, padding=1),
+            T.upsample_bilinear2x(x), T.softmax_channels(x), T.concat_channels([x, x]),
+            T.relu(x), T.log(x), T.clamp_min(x, 0.5), T.bounded_ratio(x, x),
+            x + x, x + 2.0, x * x, x * 2.0, x.sum(), x.mean(), x.sum() * 2.0, x.sum() + x.sum()]
+    for out in outs:
+        assert type(out.data) is np.ndarray
+        assert out.dtype == dtype
+        assert not out.requires_grad and out.grad is None
+        assert out._node is not None
 
 def test_backward_accumulates_shared_subexpressions():
     x = T.Tensor(np.array([2.0]), requires_grad=True)
