@@ -14,7 +14,9 @@ Pair losses symmetrize the hybrid loss with a stop-gradient on the target
 branch.  Positive pairs pull the two maps together; negative pairs (C = 2
 only) push map B toward the channel-swapped complement of map A and vice
 versa, reusing the same hybrid primitive.  ``pair_batch_loss`` evaluates a
-whole step's pairs at once, one pair per batch sample.
+whole step's pairs at once, one pair per batch sample, as the sum of two
+halves (``pair_half_terms``), one per twin, that ``pair_total`` weights and
+reduces; a half reaches the other twin only through a plain array.
 """
 
 import numpy as np
@@ -103,34 +105,55 @@ def negative_pair_loss(p_a, p_b):
     return (hybrid_loss(_complement(p_a), p_b) + hybrid_loss(_complement(p_b), p_a)) * 0.5
 
 
-def pair_batch_loss(p_a, p_b, cross, etas, targets=None):
-    """Eta-weighted sum of the pair losses of a batch -> (total, per-pair values).
+def pair_half_terms(target, p, cross):
+    """One twin's half of a pair batch's loss, before weighting.
 
-    Sample i of the B x 2 x H x W maps ``p_a`` and ``p_b`` is pair i.  Each
-    pair scores like ``positive_pair_loss`` on its own slice, or like
-    ``negative_pair_loss`` where ``cross[i]``; ``total`` weights pair i by
-    ``etas[i]`` inside one reduction.  ``targets``, when given, holds
-    (P_A, P_B) arrays used as the frozen target branches instead of the
-    detached maps.  The per-pair values (plain floats, unweighted) are read
-    off the forward data and are not on the tape.
+    The hybrid terms of this twin's map ``p`` against ``target``, the other
+    twin's map as a plain array (so no gradient reaches the other twin),
+    channel-swapped on the samples where ``cross[i]``.  Each twin's half
+    depends on the other only through that array, so the two halves can be
+    computed, and back-propagated, apart.
     """
-    if p_a.data.shape != p_b.data.shape:
-        raise ValueError(f"shape mismatch: {p_a.data.shape} vs {p_b.data.shape}")
-    B, C, H, W = p_a.data.shape
-    etas = _check_weights(B, etas)
+    B, C = p.data.shape[:2]
     cross = np.asarray(cross, dtype=bool)
     if cross.shape != (B,):
         raise ValueError(f"{cross.size} pair kinds for a batch of {B}")
     if cross.any() and C != 2:
         raise ValueError(f"cross pairs require C = 2, got C = {C}")
-    ta, tb = (p_a.data, p_b.data) if targets is None else targets
-    swap = cross[:, None, None, None]
-    ta = T.Tensor(np.where(swap, ta[:, ::-1], ta))
-    tb = T.Tensor(np.where(swap, tb[:, ::-1], tb))
-    terms = _hybrid_terms(ta, p_b) + _hybrid_terms(tb, p_a)
+    target = np.where(cross[:, None, None, None], target[:, ::-1], target)
+    return _hybrid_terms(T.Tensor(target), p)
+
+
+def pair_total(terms, etas):
+    """Eta-weighted total of a batch's pair-loss terms -> (total, per-pair values).
+
+    Sample i of ``terms`` is pair i, and pair i is weighted by ``etas[i]``
+    inside one reduction.  ``terms`` is both twins' halves added for the
+    loss; one half alone gives that half the same gradient as the sum does.
+    The per-pair values (plain floats, unweighted) are read off the forward
+    data and are not on the tape.
+    """
+    B, _, H, W = terms.shape
+    etas = _check_weights(B, etas)
     scale = -0.5 / (H * W)
     weight = np.broadcast_to(np.asarray(etas, dtype=terms.dtype)[:, None, None, None] * scale,
                              terms.shape)
     total = (terms * T.Tensor(weight)).sum()
     per = terms.data.sum(axis=(1, 2, 3), dtype=np.float64) * scale
     return total, [float(v) for v in per]
+
+
+def pair_batch_loss(p_a, p_b, cross, etas, targets=None):
+    """Eta-weighted sum of the pair losses of a batch -> (total, per-pair values).
+
+    Sample i of the B x 2 x H x W maps ``p_a`` and ``p_b`` is pair i.  Each
+    pair scores like ``positive_pair_loss`` on its own slice, or like
+    ``negative_pair_loss`` where ``cross[i]``.  ``targets``, when given,
+    holds (P_A, P_B) arrays used as the frozen target branches instead of
+    the detached maps.  The loss is twin b's half plus twin a's
+    (``pair_half_terms``), scored by ``pair_total``.
+    """
+    if p_a.data.shape != p_b.data.shape:
+        raise ValueError(f"shape mismatch: {p_a.data.shape} vs {p_b.data.shape}")
+    ta, tb = (p_a.data, p_b.data) if targets is None else targets
+    return pair_total(pair_half_terms(ta, p_b, cross) + pair_half_terms(tb, p_a, cross), etas)

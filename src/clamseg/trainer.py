@@ -8,6 +8,19 @@ both models' parameters independently.  Everything downstream of the master
 seed (init, pair draws, data order) is counter-derived, so runs replay
 bit-exactly and checkpoints can resume mid-stream.
 
+Once the two maps of a step exist, each twin's half of the pair loss sees
+the other's map only as a detached target, so its loss, backward pass and
+optimizer update do not depend on the other twin's.  ``run_training``
+therefore runs twin b's half of every step in a forked worker process
+(``TwinB``) while twin a's half runs in the parent, on two cores at once.
+It does so unless the state is siamese (one twin) or the process may use
+only one CPU (``os.sched_getaffinity``); then both halves run in process,
+through one joint loss and one backward pass.  The placements cannot differ
+in a bit: every parameter's gradient comes from its own twin's half alone,
+each half gets the same upstream gradient (its eta weights) and runs the
+same ops on the same operands in either process, and the parent adds the loss terms and the squared gradient norms in the same
+order as the in-process step.
+
 model_a is the canonical inference model; after training, the marker output
 channel is calibrated from image-level labels alone (mean activation over
 positive- vs negative-labeled training images).
@@ -15,7 +28,10 @@ positive- vs negative-labeled training images).
 
 import copy
 import math
+import multiprocessing
 import os
+import signal
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,11 +57,15 @@ class Optimizer:
         else:
             self.m = self.v = None
 
-    def step(self):
-        """One tick from each parameter's own ``.grad``, in sorted-name order."""
+    def step(self, names=None):
+        """One tick from each parameter's own ``.grad``, in sorted-name order.
+
+        ``names`` limits the update to those parameters; the tick count still
+        advances once.
+        """
         cfg = self.config
         self.t += 1
-        for name in sorted(self.params):
+        for name in sorted(self.params if names is None else names):
             w = self.params[name]
             g = w.grad
             if cfg.kind == "sgd":
@@ -108,6 +128,10 @@ def _batch_input(slices, dtype):
     return T.Tensor(np.stack(slices).astype(dtype, copy=False)[:, None])
 
 
+def _forward(model, slices):
+    return model.forward(_batch_input(slices, model.dtype))
+
+
 def pair_loss_terms(model_a, model_b, pairs):
     """Eta-weighted total loss of a pair batch plus each pair's loss value.
 
@@ -115,8 +139,8 @@ def pair_loss_terms(model_a, model_b, pairs):
     one batched forward each; sample i is pair i.  The per-pair values are
     plain floats for the metrics log.
     """
-    pa = model_a.forward(_batch_input([p.slice_a for p in pairs], model_a.dtype))
-    pb = model_b.forward(_batch_input([p.slice_b for p in pairs], model_b.dtype))
+    pa = _forward(model_a, [p.slice_a for p in pairs])
+    pb = _forward(model_b, [p.slice_b for p in pairs])
     return losses.pair_batch_loss(pa, pb, [p.kind == "cross" for p in pairs],
                                   [p.eta for p in pairs])
 
@@ -126,43 +150,198 @@ def _pair_provenance(pair):
             "coords": pair.coords, "eta": pair.eta, "draws": pair.draws}
 
 
-def train_step(state, pairs):
+def _grad_report(params, names):
+    """(names whose gradient is not finite, each gradient's squared norm or None)."""
+    bad = [n for n in names if not np.isfinite(params[n].grad).all()]
+    if bad:
+        return bad, None
+    return bad, [float(np.sum(params[n].grad.astype(np.float64) ** 2)) for n in names]
+
+
+def _split_halves(state, pairs, names, twin_b):
+    """Twin a's half of a step here while ``twin_b`` runs twin b's.
+
+    -> (error, total, per-pair values, bad gradient names, squared norms),
+    with a's values before b's.  ``error`` is twin a's first exception, else
+    twin b's, and then the other values are None.
+    """
+    cross, etas = [p.kind == "cross" for p in pairs], [p.eta for p in pairs]
+    twin_b.send(([p.slice_b for p in pairs], cross, etas))
+    state.model_a.zero_grads()
+    error = None
+    try:
+        p_a = _forward(state.model_a, [p.slice_a for p in pairs])
+    except NumericError as e:
+        error = e
+    p_b = twin_b.recv()
+    if isinstance(p_b, Exception):
+        return error or p_b, None, None, None, None
+    twin_b.send(None if error else p_a.data)
+    if error:
+        return error, None, None, None, None
+    try:
+        terms = losses.pair_half_terms(p_b, p_a, cross)
+        T.backward(losses.pair_total(terms, etas)[0])
+    except NumericError as e:
+        error = e
+    else:
+        bad, sq = _grad_report(state.optimizer.params, names)
+    out_b = twin_b.recv()
+    if error or isinstance(out_b, Exception):
+        return error or out_b, None, None, None, None
+    terms_b, bad_b, sq_b = out_b
+    # b's terms plus a's, the order the in-process loss adds them in
+    total, per = losses.pair_total(T.Tensor(terms_b + terms.data), etas)
+    return None, total, per, bad + bad_b, None if bad or bad_b else sq + sq_b
+
+
+def train_step(state, pairs, twin_b=None):
     """One optimizer tick over a pair batch -> metrics dict.
 
-    A non-finite loss or gradient raises ``NonFiniteLossError`` before the
-    optimizer runs, leaving the weights and the step count unchanged.
+    Twin b's half of the step (its forward, its half of the pair loss, its
+    backward and its update) runs in ``twin_b``, a ``TwinB`` worker, when
+    one is given, and in process otherwise; the result is bit-identical.
+    A non-finite loss or gradient in either twin raises
+    ``NonFiniteLossError`` before either optimizer update, leaving the
+    weights and the step count unchanged.
     """
     if not pairs:
         raise ValueError("empty pair batch")
-    for _, model in state.models():
-        model.zero_grads()
-    try:
-        total, per = pair_loss_terms(state.model_a, state.model_b, pairs)
-        T.backward(total)
-    except NumericError as e:
-        raise NonFiniteLossError(
-            f"non-finite loss at step {state.step}: {e}",
-            provenance=[_pair_provenance(p) for p in pairs]) from e
-
     params = state.optimizer.params
-    bad = [name for name, t in params.items() if not np.isfinite(t.grad).all()]
-    if bad:
-        raise NonFiniteLossError(
+    if twin_b is None:
+        names = list(params)
+        for _, model in state.models():
+            model.zero_grads()
+        error = None
+        try:
+            total, per = pair_loss_terms(state.model_a, state.model_b, pairs)
+            T.backward(total)
+        except NumericError as e:
+            error = e
+        else:
+            bad, sq = _grad_report(params, names)
+    else:
+        names = [n for n in params if n.startswith("a/")]
+        error, total, per, bad, sq = _split_halves(state, pairs, names, twin_b)
+
+    provenance = [_pair_provenance(p) for p in pairs]
+    cause = error if isinstance(error, NumericError) else None
+    if cause is not None:
+        error = NonFiniteLossError(f"non-finite loss at step {state.step}: {error}",
+                                   provenance=provenance)
+    elif error is None and bad:
+        error = NonFiniteLossError(
             f"non-finite gradient at step {state.step} in {', '.join(bad[:3])}"
             + (f" and {len(bad) - 3} more" if len(bad) > 3 else ""),
-            provenance=[_pair_provenance(p) for p in pairs])
-    sq = 0.0
-    for t in params.values():
-        sq += float(np.sum(t.grad.astype(np.float64) ** 2))
-    state.optimizer.step()
+            provenance=provenance)
+    if twin_b is not None:
+        twin_b.send(error is None)  # commit or abort twin b's update
+    if error is not None:
+        raise error from cause
+    state.optimizer.step(names)
 
+    grad_sq = 0.0
+    for v in sq:  # a's parameters, then b's
+        grad_sq += v
     pos = [v for v, p in zip(per, pairs) if p.kind != "cross"]
     neg = [v for v, p in zip(per, pairs) if p.kind == "cross"]
     return {"step": state.step,
             "total_loss": total.item(),
             "pos_loss_mean": float(np.mean(pos)) if pos else float("nan"),
             "neg_loss_mean": float(np.mean(neg)) if neg else float("nan"),
-            "grad_norm": math.sqrt(sq)}
+            "grad_norm": math.sqrt(grad_sq)}
+
+
+# -- twin b's worker --------------------------------------------------------
+
+class TwinB:
+    """Twin b's half of every training step, in a forked worker process.
+
+    The worker starts from a copy of the state and keeps twin b's weights
+    and adam moments current from then on; the parent's copies of them go
+    stale until ``pull``.  Per step, ``train_step`` sends twin b's slices,
+    the two processes swap their detached maps, the worker returns its loss
+    terms, bad-gradient names and squared gradient norms, and the parent
+    sends commit or abort.  A worker that dies surfaces as a
+    ``RuntimeError`` at the next exchange.
+    """
+
+    def __init__(self, state):
+        ctx = multiprocessing.get_context("fork")
+        self.conn, child = ctx.Pipe()
+        self.proc = ctx.Process(target=_twin_b_worker, args=(state, child, self.conn),
+                                daemon=True)
+        self.proc.start()
+        # with the parent's copy closed, the worker's death is EOF here
+        child.close()
+
+    def send(self, msg):
+        try:
+            self.conn.send(msg)
+        except OSError as e:
+            raise self._died() from e
+
+    def recv(self):
+        try:
+            return self.conn.recv()
+        except (EOFError, OSError) as e:
+            raise self._died() from e
+
+    def _died(self):
+        self.proc.join(timeout=1)
+        return RuntimeError(f"twin b's worker process (pid {self.proc.pid}) ended "
+                            f"mid-step, exit code {self.proc.exitcode}")
+
+    def pull(self, state):
+        """Copy the worker's twin b arrays into ``state``'s."""
+        self.send("pull")
+        arrays = _checkpoint_arrays(state)
+        for name, arr in self.recv().items():
+            arrays[name][...] = arr
+
+    def close(self):
+        """End the worker: it exits on EOF; one that does not is killed."""
+        self.conn.close()
+        self.proc.join(timeout=5)
+        if self.proc.is_alive():
+            self.proc.kill()
+            self.proc.join()
+
+
+def _twin_b_worker(state, conn, parent_end):
+    """Serve twin b's half of each step, and ``pull`` requests, until EOF."""
+    parent_end.close()
+    # Ctrl-C reaches the parent, which then closes the pipe
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    params = state.optimizer.params
+    names = [n for n in params if n.startswith("b/")]
+    try:
+        while True:
+            msg = conn.recv()
+            if msg == "pull":
+                conn.send({k: v for k, v in _checkpoint_arrays(state).items()
+                           if k.startswith(("model_b/", "opt/m/b/", "opt/v/b/"))})
+                continue
+            slices, cross, etas = msg
+            state.model_b.zero_grads()
+            try:
+                p_b = _forward(state.model_b, slices)
+            except Exception as e:
+                conn.send(e)
+            else:
+                conn.send(p_b.data)
+                p_a = conn.recv()
+                if p_a is not None:
+                    try:
+                        terms = losses.pair_half_terms(p_a, p_b, cross)
+                        T.backward(losses.pair_total(terms, etas)[0])
+                        conn.send((terms.data, *_grad_report(params, names)))
+                    except Exception as e:
+                        conn.send(e)
+            if conn.recv():
+                state.optimizer.step(names)
+    except (EOFError, OSError):
+        pass  # the parent closed its end: the run is over
 
 
 # -- state serialization ----------------------------------------------------
@@ -315,6 +494,11 @@ def calibrate_marker_channel(state, batch):
 
 # -- the loop ---------------------------------------------------------------
 
+# a run warns when total_loss has stayed within STALL_TOL of one value for
+# STALL_STEPS steps in a row: the twins have most likely stopped learning
+STALL_STEPS = 10
+STALL_TOL = 1e-6
+
 def format_metrics_line(m):
     return (f"{m['step']}\t{m['total_loss']:.6f}\t{m['pos_loss_mean']:.6f}"
             f"\t{m['neg_loss_mean']:.6f}\t{m['grad_norm']:.6f}")
@@ -351,18 +535,39 @@ def run_training(data_dir, model_config, opt_config, policy, steps, seed,
 
     batch = augment.load_batch(data_dir, "train")
     metrics = []
-    with open(out_path + ".log", "w", encoding="ascii") as log:
-        log.writelines(carried)
-        log.flush()
-        for i in range(state.step, steps):
-            step_seed = derive_key(state.seed, "step", f"{i:06d}")
-            pairs = augment.make_pairs(batch, step_seed, state.policy)
-            m = train_step(state, pairs)
-            metrics.append(m)
-            log.write(format_metrics_line(m) + "\n")
+    held_loss, held = math.inf, 0
+    # a siamese state has one twin, and a process allowed one CPU has no
+    # core to spare: both run twin b in process, as do platforms without
+    # an affinity mask (and without fork)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    twin_b = None if state.siamese or cpus < 2 else TwinB(state)
+    try:
+        with open(out_path + ".log", "w", encoding="ascii") as log:
+            log.writelines(carried)
             log.flush()
-            if checkpoint_every and state.step % checkpoint_every == 0:
-                save_state(state, out_path)
+            for i in range(state.step, steps):
+                step_seed = derive_key(state.seed, "step", f"{i:06d}")
+                pairs = augment.make_pairs(batch, step_seed, state.policy)
+                m = train_step(state, pairs, twin_b)
+                metrics.append(m)
+                log.write(format_metrics_line(m) + "\n")
+                log.flush()
+                if abs(m["total_loss"] - held_loss) > STALL_TOL:
+                    held_loss, held = m["total_loss"], 0
+                held += 1
+                if held == STALL_STEPS:
+                    print(f"warning: total_loss has stayed within {STALL_TOL:g} of "
+                          f"{held_loss:.6f} for {held} steps, to step {m['step']}; "
+                          "the twins may have stopped learning", file=sys.stderr)
+                if checkpoint_every and state.step % checkpoint_every == 0:
+                    if twin_b is not None:
+                        twin_b.pull(state)
+                    save_state(state, out_path)
+        if twin_b is not None:
+            twin_b.pull(state)
+    finally:
+        if twin_b is not None:
+            twin_b.close()
 
     state.marker_channel = calibrate_marker_channel(state, batch)
     save_state(state, out_path)
