@@ -104,6 +104,31 @@ def test_baseline_validation_and_determinism():
     assert a == b
 
 
+def serial_baseline(truths, positive_rate, seed, trials):
+    """The baseline as one loop over one stream: the reference for the split."""
+    truths = [np.asarray(t).astype(bool) for t in truths]
+    rng = derive_rng(seed, "baseline")
+    total = 0.0
+    for _ in range(trials):
+        for truth in truths:
+            pred = rng.random(truth.shape) < positive_rate
+            total += metrics.dice(pred, truth)
+    return total / (trials * len(truths))
+
+
+def test_baseline_bits_equal_one_serial_loop():
+    rng = derive_rng(11, "baseline-truths")
+    a, b = rng.random((5, 7)) < 0.4, rng.random((3, 3)) < 0.5
+    empty = np.zeros((5, 5), dtype=bool)
+    # the sizes sum to 44, 69 and 35: trial 50 or 75 starts at a double whose
+    # offset within Philox's block of four is 0, 1, 2 or 3
+    for truths in ([a, b], [a, b, empty], [a]):
+        for trials in (101, 150):
+            for rate in (0.0, 0.3, 1.0):
+                assert (metrics.random_baseline(truths, rate, seed=4, trials=trials)
+                        == serial_baseline(truths, rate, 4, trials)), (len(truths), trials, rate)
+
+
 def checkpointed_state(tmp_path, tile=8):
     cfg = UnetPPConfig(levels=2, input_size=tile, base_channels=2)
     policy = augment.PairPolicy(n_augment=1, n_normal=1, n_cross=1, tile_size=tile,

@@ -1,5 +1,6 @@
-"""Twin b's forked worker: same bits as the in-process step, errors that match,
-no process left behind, and the stall warning of ``run_training``."""
+"""Twin b's forked worker and ``split_in_two``, which forks calibration's second
+half: same bits as in process, errors that match, no process left behind, and
+the stall warning of ``run_training``."""
 
 import multiprocessing
 import os
@@ -9,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from clamseg import augment, cli, config, losses, phantoms, trainer
+from clamseg import augment, cli, config, losses, metrics, phantoms, trainer
 from clamseg import tensor as T
 from clamseg.errors import NonFiniteLossError, NumericError
 from clamseg.unetpp import UnetPPConfig
@@ -35,7 +36,8 @@ def run_args(data, out, steps=4, optimizer="sgd", lr=0.05):
 
 
 def place(monkeypatch, worker):
-    """Make ``run_training`` see two CPUs (twin b forked) or one (in process).
+    """Make the trainer see two CPUs (twin b forked, calibration split in
+    two) or one (both in process).
 
     -> the list that gets one entry per worker started.
     """
@@ -119,7 +121,10 @@ def test_worker_and_in_process_write_identical_artifacts(data, tmp_path, monkeyp
         pruned = str(d / "pruned.clam")
         trainer.save_state(trainer.prune_state(trainer.load_state(full), 1), pruned)
         assert len(started) == (3 if worker else 0)
-        return rows, [read(p) for p in (full, full + ".log", half, half + ".log", pruned)]
+        report = str(d / "eval")
+        metrics.evaluate(full, data, split="train", trials=101, out_prefix=report)
+        return rows, [read(p) for p in (full, full + ".log", half, half + ".log", pruned,
+                                        report + ".txt", report + ".kv")]
 
     rows, files = artifacts(worker=True)
     assert artifacts(worker=False) == (rows, files)
@@ -173,6 +178,76 @@ def test_killed_worker_is_an_error_and_the_run_resumes(data, tmp_path, monkeypat
     assert started == [1, 1]
     assert read(out) == read(full)
     assert read(out + ".log") == read(full + ".log")
+
+
+# -- split_in_two ------------------------------------------------------------
+
+def pids(lo, hi):
+    return [(i, os.getpid()) for i in range(lo, hi)]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7])
+def test_split_returns_the_items_in_order(monkeypatch, n):
+    place(monkeypatch, worker=True)
+    out = trainer.split_in_two(pids, n)
+    assert [i for i, _ in out] == list(range(n))
+    # the second half of two or more items ran in another process
+    assert len({pid for _, pid in out}) == (2 if n >= 2 else n)
+
+
+def test_split_on_one_cpu_forks_nothing(monkeypatch):
+    place(monkeypatch, worker=False)
+    calls = []
+
+    def fn(lo, hi):
+        calls.append((lo, hi))
+        return pids(lo, hi)
+
+    assert trainer.split_in_two(fn, 5) == [(i, os.getpid()) for i in range(5)]
+    assert calls == [(0, 5)]
+
+
+def test_a_child_exception_is_raised_in_the_parent(monkeypatch):
+    place(monkeypatch, worker=True)
+
+    def fn(lo, hi):
+        if lo:
+            raise KeyError(f"item {lo}")
+        return pids(lo, hi)
+
+    with pytest.raises(KeyError, match="item 2"):
+        trainer.split_in_two(fn, 4)
+
+
+def test_a_parent_exception_wins_and_the_child_is_reaped(monkeypatch):
+    place(monkeypatch, worker=True)
+
+    def fn(lo, hi):
+        if lo:
+            time.sleep(60)
+            raise KeyError("the child's")
+        raise ValueError("the parent's")
+
+    t0 = time.monotonic()
+    with pytest.raises(ValueError, match="the parent's"):
+        trainer.split_in_two(fn, 4)
+    assert time.monotonic() - t0 < 20
+    assert multiprocessing.active_children() == []
+
+
+def test_a_killed_child_is_an_error(monkeypatch):
+    place(monkeypatch, worker=True)
+
+    def fn(lo, hi):
+        if lo:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return pids(lo, hi)
+
+    t0 = time.monotonic()
+    with pytest.raises(RuntimeError, match=r"worker process \(pid \d+\) ended before "
+                                           r"returning its half, exit code -9"):
+        trainer.split_in_two(fn, 4)
+    assert time.monotonic() - t0 < 20
 
 
 # -- errors ------------------------------------------------------------------
