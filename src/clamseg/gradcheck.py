@@ -20,11 +20,18 @@ checked function may also return a discrete activation signature; any
 coordinate whose probes (+/-h, and +/-h/2 when taken) land on different
 signatures sits across a kink and is skipped (counted in the report rather
 than silently dropped).
+
+Each seed's cases are independent of the others', so ``run_suite`` (behind
+``clamseg gradcheck`` and criterion 1) checks the second half of its seeds in
+a forked child while the calling process checks the first, unless it may use
+only one CPU (the rule of ``cores.split_in_two``, which marker calibration
+shares); the reports come back in the serial order.
 """
 
 import numpy as np
 
 from . import tensor as T
+from .cores import split_in_two
 from .seeding import derive_rng
 
 
@@ -266,21 +273,19 @@ def _relu_signature(trace):
 def run_suite(module="all", seeds=range(20), h=1e-3, tol=1e-4):
     """Run the selected case catalog over the given seeds.
 
-    Returns a list of (case_name, report) in execution order.
+    Returns a list of (case_name, report) in the serial order, also when a
+    forked child checked the second half of the seeds (``cores.split_in_two``).
     """
     if module not in ("all", "tensor", "loss", "model"):
         raise ValueError(f"unknown gradcheck module {module!r}")
-    results = []
-    for s in seeds:
-        catalogs = []
-        if module in ("all", "tensor"):
-            catalogs.append(op_cases(s))
-        if module in ("all", "loss"):
-            catalogs.append(loss_cases(s))
-        if module in ("all", "model"):
-            catalogs.append(model_cases(s))
-        for cat in catalogs:
-            for name, f, point in cat:
-                report = gradcheck(f, T.Tensor(np.asarray(point, dtype=np.float64)), h=h, tol=tol)
-                results.append((f"{name}[seed={s}]", report))
-    return results
+    seeds = list(seeds)
+    catalogs = [cases for key, cases in (("tensor", op_cases), ("loss", loss_cases),
+                                         ("model", model_cases))
+                if module in ("all", key)]
+
+    def check(lo, hi):
+        return [(f"{name}[seed={s}]",
+                 gradcheck(f, T.Tensor(np.asarray(point, dtype=np.float64)), h=h, tol=tol))
+                for s in seeds[lo:hi] for cases in catalogs for name, f, point in cases(s)]
+
+    return split_in_two(check, len(seeds))

@@ -14,8 +14,8 @@ optimizer update do not depend on the other twin's.  ``run_training``
 therefore runs twin b's half of every step in a forked worker process
 (``TwinB``) while twin a's half runs in the parent, on two cores at once.
 It does so unless the state is siamese (one twin) or the process may use
-only one CPU (``two_cpus``); then both halves run in process, through one
-joint loss and one backward pass.  The placements cannot differ in a bit:
+only one CPU (``cores.two_cpus``); then both halves run in process, through
+one joint loss and one backward pass.  The placements cannot differ in a bit:
 every parameter's gradient comes from its own twin's half alone, each half
 gets the same upstream gradient (its eta weights) and runs the same ops on
 the same operands in either process, and the parent adds the loss terms and
@@ -24,7 +24,7 @@ the squared gradient norms in the same order as the in-process step.
 model_a is the canonical inference model; after training, the marker output
 channel is calibrated from image-level labels alone (mean activation over
 positive- vs negative-labeled training images).  Each image's channel means
-are independent of the others', so ``split_in_two`` computes the second
+are independent of the others', so ``cores.split_in_two`` computes the second
 half of them in a forked child while the parent computes the first, under
 the same one-CPU rule as ``TwinB``; the pick reads the same bits either way.
 """
@@ -41,6 +41,7 @@ import numpy as np
 
 from . import augment, checkpoint, config, losses
 from . import tensor as T
+from .cores import split_in_two, two_cpus
 from .errors import DataError, NonFiniteLossError, NumericError, UsageError
 from .seeding import derive_key
 from .unetpp import UnetPP
@@ -345,65 +346,6 @@ def _twin_b_worker(state, conn, parent_end):
                 state.optimizer.step(names)
     except (EOFError, OSError):
         pass  # the parent closed its end: the run is over
-
-
-# -- one loop split across two cores ---------------------------------------
-
-def two_cpus():
-    """Whether this process may run on two CPUs or more, so that a forked
-    second process has a core of its own; platforms without an affinity
-    mask (and without fork) count as one."""
-    return hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
-
-
-def split_in_two(fn, n):
-    """``fn(0, n)`` for a ``fn(lo, hi) -> list`` whose items are independent,
-    as ``fn(0, n // 2)`` here plus ``fn(n // 2, n)`` in a forked child at the
-    same time, concatenated in order.
-
-    With fewer than two items or two CPUs it runs ``fn(0, n)`` in process.
-    The child's exception is raised here, unless this process's half raised
-    first; a child that dies is a ``RuntimeError``.  The child is joined, or
-    killed and joined, before the call returns or raises.
-    """
-    if n < 2 or not two_cpus():
-        return fn(0, n)
-    mid = n // 2
-    ctx = multiprocessing.get_context("fork")
-    conn, child = ctx.Pipe(duplex=False)
-    proc = ctx.Process(target=_second_half, args=(fn, mid, n, child, conn), daemon=True)
-    proc.start()
-    # with the parent's copy closed, the child's death is EOF here
-    child.close()
-    second = None
-    try:
-        first = fn(0, mid)
-        try:
-            second = conn.recv()
-        except EOFError:
-            proc.join(timeout=1)
-            raise RuntimeError(f"worker process (pid {proc.pid}) ended before returning "
-                               f"its half, exit code {proc.exitcode}") from None
-    finally:
-        conn.close()
-        if second is None:
-            proc.kill()
-        proc.join()
-    if isinstance(second, Exception):
-        raise second
-    return first + second
-
-
-def _second_half(fn, lo, hi, conn, parent_end):
-    """Send ``fn(lo, hi)``, or the exception it raised, to the parent."""
-    parent_end.close()
-    # Ctrl-C reaches the parent, which then kills the child
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    try:
-        out = fn(lo, hi)
-    except Exception as e:
-        out = e
-    conn.send(out)
 
 
 # -- state serialization ----------------------------------------------------

@@ -1,4 +1,5 @@
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ def test_roundtrip(tmp_path):
 def test_header_bytes(tmp_path):
     p = str(tmp_path / "c.clam")
     ckpt.save_checkpoint(p, "x=1\n", {})
-    raw = open(p, "rb").read()
+    raw = Path(p).read_bytes()
     assert raw[:4] == b"CLAM"
     assert struct.unpack("<I", raw[4:8])[0] == 2
     assert struct.unpack("<I", raw[8:12])[0] == 4
@@ -41,7 +42,7 @@ def test_record_layout(tmp_path):
     p = str(tmp_path / "c.clam")
     arr = np.array([[1.0, 2.0]], dtype=np.float32)
     ckpt.save_checkpoint(p, "", {"w": arr})
-    raw = open(p, "rb").read()
+    raw = Path(p).read_bytes()
     body = raw[12:]
     assert struct.unpack("<I", body[:4])[0] == 1
     assert body[4:5] == b"w"
@@ -56,7 +57,7 @@ def test_insertion_order_does_not_matter(tmp_path):
     pa, pb = str(tmp_path / "a"), str(tmp_path / "b")
     ckpt.save_checkpoint(pa, "k=v\n", t)
     ckpt.save_checkpoint(pb, "k=v\n", rev)
-    assert open(pa, "rb").read() == open(pb, "rb").read()
+    assert Path(pa).read_bytes() == Path(pb).read_bytes()
 
 
 def test_save_load_save_is_byte_identical(tmp_path):
@@ -64,7 +65,7 @@ def test_save_load_save_is_byte_identical(tmp_path):
     ckpt.save_checkpoint(pa, "cfg=1\n", sample_tensors())
     text, tensors = ckpt.load_checkpoint(pa)
     ckpt.save_checkpoint(pb, text, tensors)
-    assert open(pa, "rb").read() == open(pb, "rb").read()
+    assert Path(pa).read_bytes() == Path(pb).read_bytes()
 
 
 def test_rank_zero_scalar(tmp_path):

@@ -1,10 +1,14 @@
-"""Tests for the finite-difference checker itself, then the op-level suite."""
+"""Tests for the finite-difference checker itself, then the op-level suite,
+and the suite split across two cores."""
 
 import contextlib
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
 
+from clamseg import cli
 from clamseg import gradcheck as gc
 from clamseg import tensor as T
 
@@ -169,3 +173,71 @@ def test_op_suite_passes_across_twenty_seeds():
 def test_unknown_suite_module_rejected():
     with pytest.raises(ValueError):
         gc.run_suite(module="bogus")
+
+
+# -- the suite on two cores ----------------------------------------------------
+
+def place(monkeypatch, cpus):
+    """Make the suite see ``cpus`` CPUs (two: the second half of the seeds
+    runs in a forked child; one: all in process).
+
+    -> the list that gets one entry per process started.
+    """
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    started = []
+    start = multiprocessing.context.ForkProcess.start
+    monkeypatch.setattr(multiprocessing.context.ForkProcess, "start",
+                        lambda self: started.append(1) or start(self))
+    return started
+
+
+def test_split_suite_equals_the_in_process_suite(monkeypatch):
+    started = place(monkeypatch, cpus=2)
+    split = gc.run_suite("all", seeds=range(3))
+    assert started == [1]
+    started = place(monkeypatch, cpus=1)
+    assert gc.run_suite("all", seeds=range(3)) == split
+    assert started == []
+    seeds = [int(n.split("[seed=")[1][:-1]) for n, _ in split]
+    assert seeds == sorted(seeds) and set(seeds) == {0, 1, 2}
+
+
+def test_one_seed_forks_nothing(monkeypatch):
+    started = place(monkeypatch, cpus=2)
+    results = gc.run_suite("loss", seeds=[4])
+    assert started == []
+    assert results and all(n.endswith("[seed=4]") for n, _ in results)
+
+
+def test_a_seed_generator_gives_the_same_list_as_a_range(monkeypatch):
+    started = place(monkeypatch, cpus=2)
+    assert gc.run_suite("loss", seeds=(s for s in range(4))) == gc.run_suite("loss", seeds=range(4))
+    assert started == [1, 1]
+
+
+def test_a_case_error_in_the_childs_half_is_raised_here(monkeypatch):
+    started = place(monkeypatch, cpus=2)
+    model_cases = gc.model_cases
+
+    def broken(seed):
+        if seed == 3:
+            raise FloatingPointError(f"case seed {seed}")
+        return model_cases(seed)
+
+    monkeypatch.setattr(gc, "model_cases", broken)
+    # seed 0 is the parent's half, seed 3 the child's
+    with pytest.raises(FloatingPointError, match="case seed 3"):
+        gc.run_suite("model", seeds=[0, 3])
+    assert started == [1]
+    assert multiprocessing.active_children() == []
+
+
+def test_cli_prints_the_same_lines_in_both_placements(monkeypatch, capsys):
+    out = []
+    for cpus in (2, 1):
+        started = place(monkeypatch, cpus)
+        assert cli.main(["gradcheck", "--module", "loss", "--seeds", "2"]) == 0
+        assert started == [1] * (cpus == 2)
+        out.append(capsys.readouterr().out)
+    assert out[0] == out[1]
+    assert out[0].count("[seed=1]") == out[0].count("[seed=0]") > 0

@@ -1,5 +1,6 @@
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -163,11 +164,11 @@ def test_evaluate_reports_are_deterministic_and_consistent(tmp_path):
     data = raw_dataset(tmp_path)
     ckpt = checkpointed_state(tmp_path)
     metrics.evaluate(ckpt, data, split="test", trials=100)
-    txt1 = open(ckpt + ".eval_test.txt").read()
-    kv1 = open(ckpt + ".eval_test.kv").read()
+    txt1 = Path(ckpt + ".eval_test.txt").read_text()
+    kv1 = Path(ckpt + ".eval_test.kv").read_text()
     report = metrics.evaluate(ckpt, data, split="test", trials=100)
-    assert open(ckpt + ".eval_test.txt").read() == txt1
-    assert open(ckpt + ".eval_test.kv").read() == kv1
+    assert Path(ckpt + ".eval_test.txt").read_text() == txt1
+    assert Path(ckpt + ".eval_test.kv").read_text() == kv1
 
     # aggregate lines equal recomputation from the per-image lines
     per = {}

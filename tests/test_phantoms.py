@@ -1,4 +1,5 @@
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -97,8 +98,8 @@ def test_seed_changes_images(tmp_path):
     a, b = str(tmp_path / "a"), str(tmp_path / "b")
     phantoms.generate_phantoms(a, 2, 1.0, seed=1, params=small_params())
     phantoms.generate_phantoms(b, 2, 1.0, seed=2, params=small_params())
-    pa = open(os.path.join(a, "images", "img_0000.pgm"), "rb").read()
-    pb = open(os.path.join(b, "images", "img_0000.pgm"), "rb").read()
+    pa = Path(os.path.join(a, "images", "img_0000.pgm")).read_bytes()
+    pb = Path(os.path.join(b, "images", "img_0000.pgm")).read_bytes()
     assert pa != pb
 
 

@@ -1,4 +1,5 @@
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -225,9 +226,9 @@ def test_second_pass_reproduces_bytes(tmp_path):
     names = sorted(os.listdir(os.path.join(p1, "images")))
     assert names
     for n in names:
-        b1 = open(os.path.join(p1, "images", n), "rb").read()
-        b2 = open(os.path.join(p2, "images", n), "rb").read()
+        b1 = Path(os.path.join(p1, "images", n)).read_bytes()
+        b2 = Path(os.path.join(p2, "images", n)).read_bytes()
         assert b1 == b2, n
-        m1 = open(os.path.join(p1, "masks", n), "rb").read()
-        m2 = open(os.path.join(p2, "masks", n), "rb").read()
+        m1 = Path(os.path.join(p1, "masks", n)).read_bytes()
+        m2 = Path(os.path.join(p2, "masks", n)).read_bytes()
         assert m1 == m2, n

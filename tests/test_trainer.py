@@ -1,6 +1,7 @@
 import dataclasses
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -320,7 +321,7 @@ def test_save_load_save_byte_identical(tmp_path):
     trainer.save_state(state, p1)
     s2 = trainer.load_state(p1)
     trainer.save_state(s2, p2)
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    assert Path(p1).read_bytes() == Path(p2).read_bytes()
     assert s2.step == state.step
     assert s2.optimizer.t == state.optimizer.t
     assert params_bytes(s2.model_a) == params_bytes(state.model_a)
@@ -412,11 +413,11 @@ def test_run_training_deterministic(tmp_path):
     o1, o2 = str(tmp_path / "r1.clam"), str(tmp_path / "r2.clam")
     s1, m1 = trainer.run_training(**run_args(data, o1))
     s2, m2 = trainer.run_training(**run_args(data, o2))
-    assert open(o1, "rb").read() == open(o2, "rb").read()
-    assert open(o1 + ".log").read() == open(o2 + ".log").read()
+    assert Path(o1).read_bytes() == Path(o2).read_bytes()
+    assert Path(o1 + ".log").read_text() == Path(o2 + ".log").read_text()
     assert m1 == m2
     assert s1.step == 4
-    log_lines = open(o1 + ".log").read().splitlines()
+    log_lines = Path(o1 + ".log").read_text().splitlines()
     assert len(log_lines) == 4
     assert log_lines[0].split("\t")[0] == "1"
 
@@ -426,7 +427,7 @@ def test_run_training_seed_matters(tmp_path):
     o1, o2 = str(tmp_path / "r1.clam"), str(tmp_path / "r2.clam")
     trainer.run_training(**run_args(data, o1, seed=1))
     trainer.run_training(**run_args(data, o2, seed=2))
-    assert open(o1, "rb").read() != open(o2, "rb").read()
+    assert Path(o1).read_bytes() != Path(o2).read_bytes()
 
 
 def test_resume_matches_single_run(tmp_path):
@@ -437,8 +438,8 @@ def test_resume_matches_single_run(tmp_path):
     trainer.run_training(**run_args(data, half, steps=3))
     resumed = str(tmp_path / "res.clam")
     trainer.run_training(**dict(run_args(data, resumed, steps=6), resume_from=half))
-    assert open(full, "rb").read() == open(resumed, "rb").read()
-    assert open(full + ".log", "rb").read() == open(resumed + ".log", "rb").read()
+    assert Path(full).read_bytes() == Path(resumed).read_bytes()
+    assert Path(full + ".log").read_bytes() == Path(resumed + ".log").read_bytes()
 
 
 def test_resume_in_place_after_a_crash_matches_single_run(tmp_path, monkeypatch):
@@ -456,10 +457,10 @@ def test_resume_in_place_after_a_crash_matches_single_run(tmp_path, monkeypatch)
             trainer.run_training(**run_args(data, out, steps=3), checkpoint_every=2)
     # the resume point is step 2; the streamed log already holds step 3
     assert trainer.load_state(out).step == 2
-    assert len(open(out + ".log").read().splitlines()) == 3
+    assert len(Path(out + ".log").read_text().splitlines()) == 3
     trainer.run_training(**dict(run_args(data, out, steps=6), resume_from=out))
-    assert open(full, "rb").read() == open(out, "rb").read()
-    assert open(full + ".log", "rb").read() == open(out + ".log", "rb").read()
+    assert Path(full).read_bytes() == Path(out).read_bytes()
+    assert Path(full + ".log").read_bytes() == Path(out + ".log").read_bytes()
 
 
 def test_resume_zero_steps_resaves_identically(tmp_path):
@@ -468,8 +469,8 @@ def test_resume_zero_steps_resaves_identically(tmp_path):
     trainer.run_training(**run_args(data, out, steps=3))
     again = str(tmp_path / "again.clam")
     trainer.run_training(**dict(run_args(data, again, steps=3), resume_from=out))
-    assert open(out, "rb").read() == open(again, "rb").read()
-    assert open(out + ".log", "rb").read() == open(again + ".log", "rb").read()
+    assert Path(out).read_bytes() == Path(again).read_bytes()
+    assert Path(out + ".log").read_bytes() == Path(again + ".log").read_bytes()
 
 
 def test_resume_from_a_corrupt_log_is_a_data_error(tmp_path):

@@ -1,6 +1,7 @@
-"""Twin b's forked worker and ``split_in_two``, which forks calibration's second
-half: same bits as in process, errors that match, no process left behind, and
-the stall warning of ``run_training``."""
+"""Twin b's forked worker and ``cores.split_in_two``, which forks the second
+half of calibration and of the gradcheck suite: same bits as in process,
+errors that match, no process left behind, and the stall warning of
+``run_training``."""
 
 import multiprocessing
 import os
@@ -10,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from clamseg import augment, cli, config, losses, metrics, phantoms, trainer
+from clamseg import augment, cli, config, cores, losses, metrics, phantoms, trainer
 from clamseg import tensor as T
 from clamseg.errors import NonFiniteLossError, NumericError
 from clamseg.unetpp import UnetPPConfig
@@ -180,7 +181,7 @@ def test_killed_worker_is_an_error_and_the_run_resumes(data, tmp_path, monkeypat
     assert read(out + ".log") == read(full + ".log")
 
 
-# -- split_in_two ------------------------------------------------------------
+# -- cores.split_in_two ------------------------------------------------------
 
 def pids(lo, hi):
     return [(i, os.getpid()) for i in range(lo, hi)]
@@ -189,7 +190,7 @@ def pids(lo, hi):
 @pytest.mark.parametrize("n", [0, 1, 2, 7])
 def test_split_returns_the_items_in_order(monkeypatch, n):
     place(monkeypatch, worker=True)
-    out = trainer.split_in_two(pids, n)
+    out = cores.split_in_two(pids, n)
     assert [i for i, _ in out] == list(range(n))
     # the second half of two or more items ran in another process
     assert len({pid for _, pid in out}) == (2 if n >= 2 else n)
@@ -203,7 +204,7 @@ def test_split_on_one_cpu_forks_nothing(monkeypatch):
         calls.append((lo, hi))
         return pids(lo, hi)
 
-    assert trainer.split_in_two(fn, 5) == [(i, os.getpid()) for i in range(5)]
+    assert cores.split_in_two(fn, 5) == [(i, os.getpid()) for i in range(5)]
     assert calls == [(0, 5)]
 
 
@@ -216,7 +217,7 @@ def test_a_child_exception_is_raised_in_the_parent(monkeypatch):
         return pids(lo, hi)
 
     with pytest.raises(KeyError, match="item 2"):
-        trainer.split_in_two(fn, 4)
+        cores.split_in_two(fn, 4)
 
 
 def test_a_parent_exception_wins_and_the_child_is_reaped(monkeypatch):
@@ -230,7 +231,7 @@ def test_a_parent_exception_wins_and_the_child_is_reaped(monkeypatch):
 
     t0 = time.monotonic()
     with pytest.raises(ValueError, match="the parent's"):
-        trainer.split_in_two(fn, 4)
+        cores.split_in_two(fn, 4)
     assert time.monotonic() - t0 < 20
     assert multiprocessing.active_children() == []
 
@@ -246,7 +247,7 @@ def test_a_killed_child_is_an_error(monkeypatch):
     t0 = time.monotonic()
     with pytest.raises(RuntimeError, match=r"worker process \(pid \d+\) ended before "
                                            r"returning its half, exit code -9"):
-        trainer.split_in_two(fn, 4)
+        cores.split_in_two(fn, 4)
     assert time.monotonic() - t0 < 20
 
 
