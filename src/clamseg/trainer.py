@@ -11,29 +11,26 @@ bit-exactly and checkpoints can resume mid-stream.
 Once the two maps of a step exist, each twin's half of the pair loss sees
 the other's map only as a detached target, so its loss, backward pass and
 optimizer update do not depend on the other twin's.  ``run_training``
-therefore runs twin b's half of every step in a forked worker process
-(``TwinB``) while twin a's half runs in the parent, on two cores at once.
-It does so unless the state is siamese (one twin) or the process may use
-only one CPU (``cores.two_cpus``); then both halves run in process, through
-one joint loss and one backward pass.  The placements cannot differ in a bit:
-every parameter's gradient comes from its own twin's half alone, each half
-gets the same upstream gradient (its eta weights) and runs the same ops on
-the same operands in either process, and the parent adds the loss terms and
-the squared gradient norms in the same order as the in-process step.
+therefore runs twin b's half of every step in ``TwinB``, a forked
+``cores.Child``, while twin a's half runs here, unless the state is siamese
+or ``cores.two_cpus`` finds one CPU; then both halves run in process,
+through one joint loss and one backward pass.  The placements cannot differ
+in a bit: every parameter's gradient comes from its own twin's half alone,
+each half gets the same upstream gradient (its eta weights) and runs the
+same ops on the same operands in either process, and the parent adds the
+loss terms and the squared gradient norms in the same order as the
+in-process step.
 
 model_a is the canonical inference model; after training, the marker output
 channel is calibrated from image-level labels alone (mean activation over
-positive- vs negative-labeled training images).  Each image's channel means
-are independent of the others', so ``cores.split_in_two`` computes the second
-half of them in a forked child while the parent computes the first, under
-the same one-CPU rule as ``TwinB``; the pick reads the same bits either way.
+positive- vs negative-labeled training images).  ``cores.split_in_two``
+computes half of the images' channel means in a forked child; the pick reads
+the same bits either way.
 """
 
 import copy
 import math
-import multiprocessing
 import os
-import signal
 import sys
 from dataclasses import dataclass
 
@@ -41,7 +38,7 @@ import numpy as np
 
 from . import augment, checkpoint, config, losses
 from . import tensor as T
-from .cores import split_in_two, two_cpus
+from .cores import Child, split_in_two, two_cpus
 from .errors import DataError, NonFiniteLossError, NumericError, UsageError
 from .seeding import derive_key
 from .unetpp import UnetPP
@@ -258,7 +255,7 @@ def train_step(state, pairs, twin_b=None):
 
 # -- twin b's worker --------------------------------------------------------
 
-class TwinB:
+class TwinB(Child):
     """Twin b's half of every training step, in a forked worker process.
 
     The worker starts from a copy of the state and keeps twin b's weights
@@ -266,35 +263,11 @@ class TwinB:
     stale until ``pull``.  Per step, ``train_step`` sends twin b's slices,
     the two processes swap their detached maps, the worker returns its loss
     terms, bad-gradient names and squared gradient norms, and the parent
-    sends commit or abort.  A worker that dies surfaces as a
-    ``RuntimeError`` at the next exchange.
+    sends commit or abort.
     """
 
     def __init__(self, state):
-        ctx = multiprocessing.get_context("fork")
-        self.conn, child = ctx.Pipe()
-        self.proc = ctx.Process(target=_twin_b_worker, args=(state, child, self.conn),
-                                daemon=True)
-        self.proc.start()
-        # with the parent's copy closed, the worker's death is EOF here
-        child.close()
-
-    def send(self, msg):
-        try:
-            self.conn.send(msg)
-        except OSError as e:
-            raise self._died() from e
-
-    def recv(self):
-        try:
-            return self.conn.recv()
-        except (EOFError, OSError) as e:
-            raise self._died() from e
-
-    def _died(self):
-        self.proc.join(timeout=1)
-        return RuntimeError(f"twin b's worker process (pid {self.proc.pid}) ended "
-                            f"mid-step, exit code {self.proc.exitcode}")
+        super().__init__(_twin_b_worker, state)
 
     def pull(self, state):
         """Copy the worker's twin b arrays into ``state``'s."""
@@ -303,49 +276,35 @@ class TwinB:
         for name, arr in self.recv().items():
             arrays[name][...] = arr
 
-    def close(self):
-        """End the worker: it exits on EOF; one that does not is killed."""
-        self.conn.close()
-        self.proc.join(timeout=5)
-        if self.proc.is_alive():
-            self.proc.kill()
-            self.proc.join()
 
-
-def _twin_b_worker(state, conn, parent_end):
+def _twin_b_worker(conn, state):
     """Serve twin b's half of each step, and ``pull`` requests, until EOF."""
-    parent_end.close()
-    # Ctrl-C reaches the parent, which then closes the pipe
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
     params = state.optimizer.params
     names = [n for n in params if n.startswith("b/")]
-    try:
-        while True:
-            msg = conn.recv()
-            if msg == "pull":
-                conn.send({k: v for k, v in _checkpoint_arrays(state).items()
-                           if k.startswith(("model_b/", "opt/m/b/", "opt/v/b/"))})
-                continue
-            slices, cross, etas = msg
-            state.model_b.zero_grads()
-            try:
-                p_b = _forward(state.model_b, slices)
-            except Exception as e:
-                conn.send(e)
-            else:
-                conn.send(p_b.data)
-                p_a = conn.recv()
-                if p_a is not None:
-                    try:
-                        terms = losses.pair_half_terms(p_a, p_b, cross)
-                        T.backward(losses.pair_total(terms, etas)[0])
-                        conn.send((terms.data, *_grad_report(params, names)))
-                    except Exception as e:
-                        conn.send(e)
-            if conn.recv():
-                state.optimizer.step(names)
-    except (EOFError, OSError):
-        pass  # the parent closed its end: the run is over
+    while True:
+        msg = conn.recv()
+        if msg == "pull":
+            conn.send({k: v for k, v in _checkpoint_arrays(state).items()
+                       if k.startswith(("model_b/", "opt/m/b/", "opt/v/b/"))})
+            continue
+        slices, cross, etas = msg
+        state.model_b.zero_grads()
+        try:
+            p_b = _forward(state.model_b, slices)
+        except Exception as e:
+            conn.send(e)
+        else:
+            conn.send(p_b.data)
+            p_a = conn.recv()
+            if p_a is not None:
+                try:
+                    terms = losses.pair_half_terms(p_a, p_b, cross)
+                    T.backward(losses.pair_total(terms, etas)[0])
+                    conn.send((terms.data, *_grad_report(params, names)))
+                except Exception as e:
+                    conn.send(e)
+        if conn.recv():
+            state.optimizer.step(names)
 
 
 # -- state serialization ----------------------------------------------------

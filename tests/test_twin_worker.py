@@ -155,6 +155,23 @@ def test_no_worker_outlives_a_crash_in_calibration(data, tmp_path, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def test_no_worker_outlives_a_failed_save_mid_run(data, tmp_path, monkeypatch):
+    started = place(monkeypatch, worker=True)
+
+    def fail(state, path):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(trainer, "save_state", fail)
+    t0 = time.monotonic()
+    # the traceback keeps the run's frames alive, so a worker that the run
+    # left open is not ended by the garbage collector before the check
+    with pytest.raises(OSError, match="disk full") as failure:
+        trainer.run_training(**run_args(data, str(tmp_path / "r.clam")), checkpoint_every=2)
+    assert time.monotonic() - t0 < 20
+    assert started == [1]
+    assert multiprocessing.active_children() == []
+
+
 def test_killed_worker_is_an_error_and_the_run_resumes(data, tmp_path, monkeypatch):
     full = str(tmp_path / "full.clam")
     trainer.run_training(**run_args(data, full, steps=6))
@@ -170,7 +187,7 @@ def test_killed_worker_is_an_error_and_the_run_resumes(data, tmp_path, monkeypat
     with monkeypatch.context() as mp:
         mp.setattr(trainer, "train_step", kill_at_step_3)
         t0 = time.monotonic()
-        with pytest.raises(RuntimeError, match="worker process .* ended mid-step"):
+        with pytest.raises(RuntimeError, match=r"worker process \(pid \d+\) ended mid-exchange"):
             trainer.run_training(**run_args(data, out, steps=6), checkpoint_every=2)
         assert time.monotonic() - t0 < 20
     assert multiprocessing.active_children() == []
@@ -245,8 +262,8 @@ def test_a_killed_child_is_an_error(monkeypatch):
         return pids(lo, hi)
 
     t0 = time.monotonic()
-    with pytest.raises(RuntimeError, match=r"worker process \(pid \d+\) ended before "
-                                           r"returning its half, exit code -9"):
+    with pytest.raises(RuntimeError, match=r"worker process \(pid \d+\) ended "
+                                           r"mid-exchange, exit code -9"):
         cores.split_in_two(fn, 4)
     assert time.monotonic() - t0 < 20
 
