@@ -152,10 +152,15 @@ def _cmd_eval(args):
     return 0
 
 
+def _check_out_dir(path):
+    """Fail before any work when ``path`` has no directory to be written in."""
+    out_dir = os.path.dirname(path) or "."
+    if not os.path.isdir(out_dir):
+        raise DataError(f"cannot write {path}: no directory {out_dir}")
+
+
 def _cmd_infer(args):
-    out_dir = os.path.dirname(args.out) or "."
-    if not os.path.isdir(out_dir):  # fail before the checkpoint load and the inference
-        raise DataError(f"cannot write {args.out}: no directory {out_dir}")
+    _check_out_dir(args.out)
     image = pgm.read_unit(args.image)
     mask = trainer.infer(args.ckpt, image, depth=args.depth,
                          threshold=args.threshold)
@@ -165,6 +170,7 @@ def _cmd_infer(args):
 
 
 def _cmd_prune(args):
+    _check_out_dir(args.out)
     pruned = trainer.prune_state(trainer.load_state(args.ckpt), args.depth)
     trainer.save_state(pruned, args.out)
     print(f"pruned to depth {args.depth}: "

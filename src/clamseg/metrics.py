@@ -4,15 +4,13 @@ Convention: when prediction and truth are both empty the score is 1.0 for
 both Dice and IoU; an empty prediction on an empty truth (a correctly
 rejected negative image) counts as success.
 
-The random baseline's trials are independent draws from one Philox stream,
-so a second thread runs the second half of them, from the point of the
-stream where that half starts, while the calling thread runs the first.
-The Dice values are summed in trial order, so the baseline has the same
-bits as one loop over the stream.
+The random baseline scores masks that fire on each pixel independently at
+the matched rate.  A mask's Dice depends only on how many pixels it fires
+inside the truth and how many outside, so each trial draws those two
+counts per truth instead of a mask, from the same distribution.
 """
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -50,7 +48,11 @@ MIN_TRIALS = 100  # fewest random-baseline trials for a stable mean
 
 
 def random_baseline(truths, positive_rate, seed=0, trials=200):
-    """Mean Dice of random masks firing at positive_rate against the truths."""
+    """Mean Dice of random masks firing at positive_rate against the truths.
+
+    A truth with c marker pixels out of N gets Binomial(c, r) fired pixels
+    inside it and, independently, Binomial(N - c, r) outside it.
+    """
     truths = [np.asarray(t).astype(bool) for t in truths]
     if not truths:
         raise ValueError("no truth masks given")
@@ -58,42 +60,15 @@ def random_baseline(truths, positive_rate, seed=0, trials=200):
         raise ValueError(f"need at least {MIN_TRIALS} trials, got {trials}")
     if not 0.0 <= positive_rate <= 1.0:
         raise ValueError(f"positive rate {positive_rate} outside [0, 1]")
-    flat = [t.ravel() for t in truths]
-    counts = [int(np.count_nonzero(t)) for t in flat]
-    size = sum(t.size for t in flat)
-
-    def trial_dices(lo, hi):
-        """The Dice of each truth in trials [lo, hi), in that order, drawn from
-        where trial ``lo`` starts in the stream."""
-        rng = derive_rng(seed, "baseline")
-        # skip the lo * size doubles of the earlier trials: Philox yields
-        # four per counter step, and advance() also empties its buffer
-        rng.bit_generator.advance(lo * size // 4)
-        rng.random(lo * size % 4)
-        draws = np.empty(max(t.size for t in flat))
-        pred = np.empty(draws.shape, dtype=bool)
-        out = []
-        for _ in range(lo, hi):
-            for truth, t_count in zip(flat, counts):
-                d, p = draws[:truth.size], pred[:truth.size]
-                rng.random(out=d)
-                np.less(d, positive_rate, out=p)
-                denom = int(np.count_nonzero(p)) + t_count
-                # dice()'s rule and formula, on the counts
-                out.append(1.0 if denom == 0 else
-                           2.0 * int(np.count_nonzero(np.logical_and(p, truth, out=p))) / denom)
-        return out
-
-    # the draws release the GIL, so a second thread runs the second half as
-    # fast as a forked child would, without leaving this process's heap
-    # write-protected (copy-on-write) for whatever runs next
-    with ThreadPoolExecutor(1) as pool:
-        second = pool.submit(trial_dices, trials // 2, trials)
-        values = trial_dices(0, trials // 2) + second.result()
-    total = 0.0
-    for v in values:
-        total += v
-    return total / (trials * len(truths))
+    counts = np.array([np.count_nonzero(t) for t in truths])
+    sizes = np.array([t.size for t in truths])
+    rng = derive_rng(seed, "baseline")
+    shape = (trials, len(truths))
+    inside = rng.binomial(counts, positive_rate, size=shape)
+    outside = rng.binomial(sizes - counts, positive_rate, size=shape)
+    denom = inside + outside + counts
+    # dice()'s rule and formula, on the counts
+    return float(np.where(denom == 0, 1.0, 2.0 * inside / np.maximum(denom, 1)).mean())
 
 
 def _fmt(v):

@@ -368,8 +368,11 @@ def load_state(path):
         raise DataError(f"{path}: bad train values step={step} "
                         f"marker_channel={marker_channel}")
 
-    state = init_state(model_config, opt_config, policy, seed, siamese=rc.siamese,
-                       truncated=bool(truncated))
+    # the arrays below overwrite every parameter, so none is drawn
+    model_a = UnetPP(model_config, seed=None, truncated=bool(truncated))
+    model_b = model_a if rc.siamese else UnetPP(model_config, seed=None,
+                                                truncated=bool(truncated))
+    state = _new_state(model_a, model_b, opt_config, policy, seed)
     state.optimizer.t = step
     state.marker_channel = marker_channel
     expected = _settings_block(state)

@@ -102,6 +102,10 @@ class _Conv:
 class UnetPP:
     """A built lattice: parameter tensors plus the evaluation plan.
 
+    ``seed`` draws the weights (He-normal, one stream per weight name; biases
+    zero).  ``seed=None`` draws nothing and leaves every parameter zero, for
+    a caller that fills them all itself: a checkpoint load or a prune.
+
     ``truncated`` marks a model produced by pruning: its deepest backbone
     node keeps only the stride-1 convs that the full graph would have run for
     that head depth, so outputs stay bit-identical to the parent graph.
@@ -109,18 +113,17 @@ class UnetPP:
 
     def __init__(self, config, seed=0, dtype=np.float32, truncated=False):
         self.config = config
-        self.seed = int(seed)
         self.dtype = dtype
         self.truncated = bool(truncated)
         self.node_plan = {}   # (i, j) -> [_Conv, ...]; backbone downsampler kept separate
         self.down_plan = {}   # i -> _Conv producing level i+1 input
         self.head_plan = {}   # j -> _Conv (1x1, no relu)
         self.params = {}
-        self._build()
+        self._build(seed)
 
     # -- construction -------------------------------------------------------
 
-    def _build(self):
+    def _build(self, seed):
         cfg = self.config
         L = cfg.levels
         for i in range(L):
@@ -150,15 +153,18 @@ class UnetPP:
         specs = [s for convs in self.node_plan.values() for s in convs]
         specs += list(self.down_plan.values()) + list(self.head_plan.values())
         for spec in specs:
-            self._init_param(spec)
+            self._init_param(spec, seed)
 
-    def _init_param(self, spec):
+    def _init_param(self, spec, seed):
         wname, bname = spec.name + ".weight", spec.name + ".bias"
         assert wname not in self.params, f"parameter name collision: {wname}"
-        fan_in = spec.in_ch * spec.k * spec.k
-        rng = derive_rng(self.seed, "init", wname)
-        w = rng.standard_normal((spec.out_ch, spec.in_ch, spec.k, spec.k)) * np.sqrt(2.0 / fan_in)
-        self.params[wname] = T.Tensor(w.astype(self.dtype), requires_grad=True, dtype=self.dtype)
+        shape = (spec.out_ch, spec.in_ch, spec.k, spec.k)
+        if seed is None:
+            w = np.zeros(shape, dtype=self.dtype)
+        else:
+            fan_in = spec.in_ch * spec.k * spec.k
+            w = derive_rng(seed, "init", wname).standard_normal(shape) * np.sqrt(2.0 / fan_in)
+        self.params[wname] = T.Tensor(w, requires_grad=True, dtype=self.dtype)
         self.params[bname] = T.Tensor(np.zeros(spec.out_ch, dtype=self.dtype),
                                       requires_grad=True, dtype=self.dtype)
 
@@ -253,7 +259,7 @@ class UnetPP:
             kernel_schedule=cfg.kernel_schedule[:d + 1],
             repeat_levels=[i for i in cfg.repeat_levels if i <= d],
             heads=[h for h in cfg.heads if h <= d])
-        out = UnetPP(sub, seed=self.seed, dtype=self.dtype, truncated=truncated)
+        out = UnetPP(sub, seed=None, dtype=self.dtype, truncated=truncated)
         for name, t in out.params.items():
             t.data = self.params[name].data.copy()
         return out

@@ -304,6 +304,19 @@ def test_infer_unwritable_out_exits_2(ws, tmp_path, capsys, monkeypatch):
     assert calls == []
 
 
+def test_prune_unwritable_out_exits_2(ws, tmp_path, capsys, monkeypatch):
+    # the directory is checked before the checkpoint is loaded and pruned
+    calls = []
+    monkeypatch.setattr(trainer, "load_state", lambda *a: calls.append("load"))
+    monkeypatch.setattr(trainer, "prune_state", lambda *a: calls.append("prune"))
+    out = str(tmp_path / "missing_dir" / "p.ckpt")
+    assert cli.main(["prune", "--ckpt", ws["ckpt"], "--out", out, "--depth", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"data error: cannot write {out}: no directory {os.path.dirname(out)}\n"
+    assert not os.path.exists(tmp_path / "missing_dir")
+    assert calls == []
+
+
 def test_preprocess_out_under_a_regular_file_exits_2(ws, tmp_path, capsys):
     blocker = tmp_path / "blocker"
     blocker.write_text("not a directory\n")

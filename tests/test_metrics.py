@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from clamseg import augment, config, metrics, phantoms, pgm, preprocess, trainer
+from clamseg import augment, config, metrics, phantoms, pgm, preprocess, trainer, unetpp
 from clamseg.errors import DataError
 from clamseg.seeding import derive_rng
 from clamseg.unetpp import UnetPPConfig
@@ -70,9 +70,9 @@ def test_baseline_empty_truth_at_rate_zero_scores_one():
     assert metrics.random_baseline([empty], 0.0, seed=1, trials=100) == 1.0
 
 
-def binomial_expectation_oracle(n, t, q):
-    """Exact E[dice] for an n-pixel image with t truth pixels and iid
-    predictions firing at rate q."""
+def binomial_expectation_oracle(n, t, q, power=1):
+    """Exact E[dice ** power] for an n-pixel image with t truth pixels and
+    iid predictions firing at rate q."""
     total = 0.0
     for i in range(t + 1):
         pi = math.comb(t, i) * q ** i * (1 - q) ** (t - i)
@@ -80,7 +80,7 @@ def binomial_expectation_oracle(n, t, q):
             pj = math.comb(n - t, j) * q ** j * (1 - q) ** (n - t - j)
             denom = i + j + t
             score = 1.0 if denom == 0 else 2.0 * i / denom
-            total += pi * pj * score
+            total += pi * pj * score ** power
     return total
 
 
@@ -105,29 +105,28 @@ def test_baseline_validation_and_determinism():
     assert a == b
 
 
-def serial_baseline(truths, positive_rate, seed, trials):
-    """The baseline as one loop over one stream: the reference for the split."""
-    truths = [np.asarray(t).astype(bool) for t in truths]
-    rng = derive_rng(seed, "baseline")
-    total = 0.0
-    for _ in range(trials):
-        for truth in truths:
-            pred = rng.random(truth.shape) < positive_rate
-            total += metrics.dice(pred, truth)
-    return total / (trials * len(truths))
-
-
-def test_baseline_bits_equal_one_serial_loop():
+def test_baseline_lies_within_three_standard_errors_of_the_oracle():
     rng = derive_rng(11, "baseline-truths")
     a, b = rng.random((5, 7)) < 0.4, rng.random((3, 3)) < 0.5
     empty = np.zeros((5, 5), dtype=bool)
-    # the sizes sum to 44, 69 and 35: trial 50 or 75 starts at a double whose
-    # offset within Philox's block of four is 0, 1, 2 or 3
-    for truths in ([a, b], [a, b, empty], [a]):
-        for trials in (101, 150):
-            for rate in (0.0, 0.3, 1.0):
-                assert (metrics.random_baseline(truths, rate, seed=4, trials=trials)
-                        == serial_baseline(truths, rate, 4, trials)), (len(truths), trials, rate)
+    trials = 10_000
+    for truths in ([a], [b], [empty], [a, b, empty]):
+        for rate in (0.05, 0.3, 0.9):
+            moments = [(binomial_expectation_oracle(t.size, int(t.sum()), rate),
+                        binomial_expectation_oracle(t.size, int(t.sum()), rate, power=2))
+                       for t in truths]
+            # each trial draws every truth independently, so the variances add
+            mean = sum(m1 for m1, _ in moments) / len(truths)
+            var = sum(m2 - m1 * m1 for m1, m2 in moments) / len(truths) ** 2
+            se = math.sqrt(var / trials)
+            got = metrics.random_baseline(truths, rate, seed=4, trials=trials)
+            assert abs(got - mean) <= 3 * se, (len(truths), rate, got, mean, se)
+
+
+def test_baseline_depends_on_the_seed():
+    truth = rect(5, 7, (1, 4, 2, 5))
+    assert (metrics.random_baseline([truth], 0.3, seed=1)
+            != metrics.random_baseline([truth], 0.3, seed=2))
 
 
 def checkpointed_state(tmp_path, tile=8):
@@ -158,6 +157,18 @@ def test_evaluate_raw_dataset(tmp_path):
     assert 0.0 <= report["baseline_dice"] <= 1.0
     assert os.path.exists(ckpt + ".eval_test.txt")
     assert os.path.exists(ckpt + ".eval_test.kv")
+
+
+def test_evaluate_draws_no_weights(tmp_path, monkeypatch):
+    data = raw_dataset(tmp_path)
+    ckpt = checkpointed_state(tmp_path)
+    want = metrics.evaluate(ckpt, data, split="test", trials=100)
+
+    def refuse(*args):
+        raise AssertionError(f"drew from seed labels {args}")
+    monkeypatch.setattr(unetpp, "derive_rng", refuse)
+    monkeypatch.setattr(trainer, "derive_key", refuse)
+    assert metrics.evaluate(ckpt, data, split="test", trials=100) == want
 
 
 def test_evaluate_reports_are_deterministic_and_consistent(tmp_path):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from clamseg import (augment, checkpoint, cli, config, gradcheck, losses, pgm, phantoms,
-                     trainer)
+                     trainer, unetpp)
 from clamseg import tensor as T
 from clamseg.errors import DataError, NonFiniteLossError
 from clamseg.manifest import Record, manifest_path, write_manifest
@@ -351,6 +351,31 @@ def test_state_roundtrip_preserves_forward_bits(tmp_path):
     x = T.Tensor(np.stack([phantom_slice(3), phantom_slice(4)])[:, None])
     for model, loaded in ((state.model_a, back.model_a), (state.model_b, back.model_b)):
         assert loaded.forward(x).data.tobytes() == model.forward(x).data.tobytes()
+
+
+@pytest.mark.parametrize("kind, siamese, depth", [
+    ("sgd", False, None), ("adam", False, None), ("sgd", True, None), ("adam", False, 1),
+], ids=["sgd", "adam", "siamese", "pruned"])
+def test_load_prune_and_infer_draw_nothing(tmp_path, monkeypatch, kind, siamese, depth):
+    cfg = UnetPPConfig(levels=3, input_size=8, base_channels=2)
+    state = trainer.init_state(cfg, opt_config(optimizer=kind), tiny_policy(), 5,
+                               siamese=siamese)
+    trainer.train_step(state, [pair_of("cross", phantom_slice(1), phantom_slice(2))])
+
+    def refuse(*args):
+        raise AssertionError(f"drew from seed labels {args}")
+    monkeypatch.setattr(unetpp, "derive_rng", refuse)
+    monkeypatch.setattr(trainer, "derive_key", refuse)
+    if depth is not None:
+        state = trainer.prune_state(state, depth)
+    p1, p2 = str(tmp_path / "a.clam"), str(tmp_path / "b.clam")
+    trainer.save_state(state, p1)
+    back = trainer.load_state(p1)
+    trainer.save_state(back, p2)
+    assert Path(p1).read_bytes() == Path(p2).read_bytes()
+    assert (back.model_b is back.model_a) is siamese
+    img = phantom_slice(3, size=16)
+    assert np.array_equal(trainer.infer(p1, img), trainer.infer_state(state, img))
 
 
 def _resaved(src, dst, edit):

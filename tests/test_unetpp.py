@@ -148,6 +148,21 @@ def test_seeded_init_is_reproducible_and_seed_sensitive():
                for n in a.params if n.endswith("weight"))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_unseeded_model_is_zero_and_forwards_like_the_drawn_one_once_filled(dtype):
+    cfg = UnetPPConfig(levels=3, input_size=8, base_channels=2, repeat_levels=(1,))
+    drawn = UnetPP(cfg, seed=4, dtype=dtype)
+    blank = UnetPP(cfg, seed=None, dtype=dtype)
+    assert ([(n, t.data.shape, t.data.dtype) for n, t in blank.parameter_items()]
+            == [(n, t.data.shape, t.data.dtype) for n, t in drawn.parameter_items()])
+    assert not any(t.data.any() for t in blank.params.values())
+    for name, t in blank.params.items():
+        t.data[...] = drawn.params[name].data
+    x = rand_input(np.random.default_rng(8), 8, dtype)
+    for d in (1, 2):
+        assert blank.forward(x, d).data.tobytes() == drawn.forward(x, d).data.tobytes()
+
+
 def test_he_init_scale_and_zero_biases():
     cfg = UnetPPConfig(levels=2, input_size=8, base_channels=32)
     model = UnetPP(cfg, seed=13)
