@@ -19,10 +19,9 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from . import pgm
-from .imops import round_half_up
+from .imops import distance_transform_edt, round_half_up
 from .manifest import Record, manifest_path, write_manifest
 from .seeding import derive_rng
 
@@ -95,8 +94,9 @@ def make_phantom(rng, params, positive):
     info = {"cy": cy, "cx": cx, "a": a, "b": b, "theta": theta, "base": base,
             "lesions": []}
     if positive:
-        # distance-to-boundary keeps every lesion disk strictly inside the organ
-        dist = ndimage.distance_transform_edt(organ)
+        # distance-to-boundary (imops' exact Euclidean distance transform)
+        # keeps every lesion disk strictly inside the organ
+        dist = distance_transform_edt(organ)
         n = int(rng.integers(params.lesion_count[0], params.lesion_count[1] + 1))
         for _ in range(n):
             r = rng.uniform(*params.lesion_radius) * s

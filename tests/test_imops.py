@@ -1,11 +1,14 @@
-"""Image-op tests: scalar resize oracle, Otsu brute force, morphology shapes."""
+"""Image-op tests: scalar resize oracle, Otsu brute force, and exact oracles
+for the distance transform, the largest component and the closing, also
+cross-checked against scipy.ndimage when it is installed."""
 
 import math
+from collections import deque
 
 import numpy as np
 import pytest
 
-from clamseg import imops
+from clamseg import imops, phantoms
 from clamseg import tensor as T
 
 
@@ -41,6 +44,74 @@ def otsu_brute_force(img):
         if v > best_v:
             best_k, best_v = k, v
     return float(edges[best_k + 1])
+
+
+def edt_brute_force(mask):
+    """Min over every background pixel of the Euclidean distance, per pixel."""
+    fg, bg = np.argwhere(mask), np.argwhere(~mask)
+    out = np.zeros(mask.shape)
+    if len(fg) and not len(bg):
+        out[mask] = math.inf
+    elif len(fg):
+        sq = ((fg[:, None, :] - bg[None, :, :]) ** 2).sum(axis=2)
+        out[mask] = np.sqrt(sq.min(axis=1).astype(np.float64))
+    return out
+
+
+def largest_component_bfs(mask):
+    """Breadth-first 4-connected labels in raster order of first pixels; the
+    first of the largest components."""
+    h, w = mask.shape
+    seen = np.zeros_like(mask)
+    best = []
+    for y0 in range(h):
+        for x0 in range(w):
+            if not mask[y0, x0] or seen[y0, x0]:
+                continue
+            seen[y0, x0] = True
+            comp, queue = [], deque([(y0, x0)])
+            while queue:
+                y, x = queue.popleft()
+                comp.append((y, x))
+                for ny, nx in ((y - 1, x), (y + 1, x), (y, x - 1), (y, x + 1)):
+                    if 0 <= ny < h and 0 <= nx < w and mask[ny, nx] and not seen[ny, nx]:
+                        seen[ny, nx] = True
+                        queue.append((ny, nx))
+            if len(comp) > len(best):
+                best = comp
+    out = np.zeros_like(mask)
+    for y, x in best:
+        out[y, x] = True
+    return out
+
+
+def close_loop(mask):
+    """3x3 dilation then erosion by neighbourhood loops; outside is background."""
+    h, w = mask.shape
+
+    def at(m, y, x):
+        return 0 <= y < h and 0 <= x < w and m[y, x]
+
+    def hood(y, x):
+        return [(y + dy, x + dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1)]
+
+    dil = np.array([[any(at(mask, *p) for p in hood(y, x)) for x in range(w)] for y in range(h)])
+    return np.array([[all(at(dil, *p) for p in hood(y, x)) for x in range(w)] for y in range(h)])
+
+
+def random_masks(seed, count, max_side):
+    """Masks of random shape and density, from empty to full."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        shape = tuple(int(n) for n in rng.integers(1, max_side + 1, 2))
+        yield rng.random(shape) < rng.random()
+
+
+def phantom_organs(size, count):
+    """Organ ellipses of the phantom generator at one image size."""
+    return [phantoms.make_phantom(np.random.default_rng(size + i),
+                                  phantoms.PhantomParams.easy(size=size), True)[2]
+            for i in range(count)]
 
 
 def test_round_half_up():
@@ -152,3 +223,83 @@ def test_close_3x3_fills_small_holes_and_keeps_blobs():
     assert closed[4, 4]
     assert closed[2:7, 2:7].all()
     assert closed.sum() == 25
+
+
+def test_edt_matches_brute_force_on_random_masks():
+    for mask in random_masks(11, 300, 12):
+        assert np.array_equal(imops.distance_transform_edt(mask), edt_brute_force(mask))
+
+
+def test_edt_special_masks():
+    one_bg = np.ones((5, 7), dtype=bool)
+    one_bg[4, 0] = False  # a single background pixel, in a corner
+    border = np.zeros((6, 6), dtype=bool)
+    border[:, :4] = True  # touches three sides of the image
+    ring = np.ones((7, 7), dtype=bool)
+    ring[3, 3] = False  # a hole in a mask that fills the frame
+    for mask in (one_bg, border, ring, np.zeros((4, 5), dtype=bool), np.ones((1, 1), dtype=bool)):
+        assert np.array_equal(imops.distance_transform_edt(mask), edt_brute_force(mask))
+    assert imops.distance_transform_edt(one_bg)[0, 6] == math.sqrt(4 ** 2 + 6 ** 2)
+    assert not imops.distance_transform_edt(np.zeros((3, 3), dtype=bool)).any()
+    assert np.isinf(imops.distance_transform_edt(np.ones((2, 3), dtype=bool))).all()
+    assert imops.distance_transform_edt(border).dtype == np.float64
+    with pytest.raises(ValueError):
+        imops.distance_transform_edt(np.ones(4, dtype=bool))
+
+
+def test_edt_matches_brute_force_on_a_phantom_organ():
+    organ = phantom_organs(64, 1)[0]
+    assert np.array_equal(imops.distance_transform_edt(organ), edt_brute_force(organ))
+
+
+def test_largest_component_matches_bfs_on_random_masks():
+    for mask in random_masks(12, 300, 16):
+        assert np.array_equal(imops.largest_component(mask), largest_component_bfs(mask))
+
+
+def test_largest_component_tie_goes_to_the_first_in_raster_order():
+    mask = np.zeros((6, 6), dtype=bool)
+    mask[4:6, 0:2] = True  # size 4, first pixel (4, 0)
+    mask[0, 2:6] = True    # size 4, first pixel (0, 2): comes first
+    mask[2:5, 4] = True    # size 3
+    want = np.zeros_like(mask)
+    want[0, 2:6] = True
+    assert np.array_equal(largest_component_bfs(mask), want)
+    assert np.array_equal(imops.largest_component(mask), want)
+    # a U whose arms meet only at the bottom is one component, rooted at its
+    # first pixel although its right arm starts on the same row
+    u = np.zeros((5, 5), dtype=bool)
+    u[0:5, 0] = u[0:5, 4] = u[4, :] = True
+    mask = u.copy()
+    mask[0:2, 2] = True
+    assert np.array_equal(imops.largest_component(mask), u)
+
+
+def test_close_3x3_matches_neighbourhood_loops_on_random_masks():
+    for mask in random_masks(13, 300, 12):
+        assert np.array_equal(imops.close_3x3(mask), close_loop(mask))
+
+
+def test_mask_ops_match_scipy_ndimage():
+    ndimage = pytest.importorskip("scipy.ndimage")
+    cross = ndimage.generate_binary_structure(2, 1)
+    box = np.ones((3, 3), dtype=bool)
+
+    def scipy_largest(mask):
+        labels, n = ndimage.label(mask, structure=cross)
+        if n == 0:
+            return np.zeros_like(mask)
+        sizes = ndimage.sum_labels(mask, labels, index=np.arange(1, n + 1))
+        return labels == int(np.argmax(sizes)) + 1
+
+    for mask in random_masks(14, 1200, 40):
+        if not mask.all():  # scipy has no defined distance without a background pixel
+            assert np.array_equal(imops.distance_transform_edt(mask),
+                                  ndimage.distance_transform_edt(mask))
+        assert np.array_equal(imops.largest_component(mask), scipy_largest(mask))
+        assert np.array_equal(imops.close_3x3(mask),
+                              ndimage.binary_erosion(ndimage.binary_dilation(mask, box), box))
+    for size in (64, 128, 256):
+        for organ in phantom_organs(size, 8):
+            assert np.array_equal(imops.distance_transform_edt(organ),
+                                  ndimage.distance_transform_edt(organ))
