@@ -206,22 +206,17 @@ def loss_cases(seed):
     yield ("negative_pair/first-term",
            lambda t: losses.hybrid_loss(comp, T.softmax_channels(t)), z)
 
-    # total_loss with one live slice among constants: gradient picks up that
-    # slice's weight
-    etas = list(rng.uniform(0.1, 1.0, size=3))
-    fixed = [T.softmax_channels(T.Tensor(rng.uniform(-2, 2, size=(1, 2, 2, 2)), dtype=np.float64))
-             for _ in range(2)]
-    yf = np.stack([np.ones((1, 2, 2)), np.zeros((1, 2, 2))], axis=1)
-    yft = T.Tensor(yf, dtype=np.float64)
-    zl = rng.uniform(-2.0, 2.0, size=(1, 2, 2, 2))
-
-    def total_fn(t):
-        per = [losses.hybrid_loss(yft, T.softmax_channels(t)),
-               losses.hybrid_loss(yft, fixed[0]),
-               losses.hybrid_loss(yft, fixed[1])]
-        return losses.total_loss(per, etas)
-
-    yield ("total_loss/one-live-slice", total_fn, zl)
+    # a pair batch's loss as training back-propagates it: one twin's half
+    # against the other's fixed map, a cross and a plain pair with distinct
+    # etas
+    etas = list(rng.uniform(0.1, 1.0, size=2))
+    other = T.softmax_channels(T.Tensor(rng.uniform(-2, 2, size=(2, 2, 1, 2)),
+                                        dtype=np.float64)).data
+    zl = rng.uniform(-2.0, 2.0, size=(2, 2, 1, 2))
+    yield ("pair_total∘pair_half_terms∘softmax",
+           lambda t: losses.pair_total(
+               losses.pair_half_terms(other, T.softmax_channels(t), [True, False]), etas)[0],
+           zl)
 
 
 def model_cases(seed):

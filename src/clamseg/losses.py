@@ -13,10 +13,10 @@ y = 0 in every class exactly inert: zero loss and zero gradient to P.
 Pair losses symmetrize the hybrid loss with a stop-gradient on the target
 branch.  Positive pairs pull the two maps together; negative pairs (C = 2
 only) push map B toward the channel-swapped complement of map A and vice
-versa, reusing the same hybrid primitive.  ``pair_batch_loss`` evaluates a
-whole step's pairs at once, one pair per batch sample, as the sum of two
-halves (``pair_half_terms``), one per twin, that ``pair_total`` weights and
-reduces; a half reaches the other twin only through a plain array.
+versa, reusing the same hybrid primitive.  Training evaluates a whole step's
+pairs at once, one pair per batch sample, in two halves, one per twin: a
+twin's half (``pair_half_terms``) scores its own map against the other
+twin's as a plain array, and ``pair_total`` weights and reduces it.
 """
 
 import numpy as np
@@ -59,28 +59,6 @@ def hybrid_loss(y, p):
     terms = _hybrid_terms(y, p)
     n = y.data.shape[0] * y.data.shape[2] * y.data.shape[3]
     return terms.sum() * (-1.0 / n)
-
-
-def _check_weights(n, weights):
-    weights = [float(w) for w in weights]
-    if n != len(weights):
-        raise ValueError(f"{n} losses vs {len(weights)} weights")
-    if not weights:
-        raise ValueError("total_loss needs at least one slice")
-    for w in weights:
-        if not (0.0 <= w <= 1.0):
-            raise ValueError(f"slice weight {w} outside [0, 1]")
-    return weights
-
-
-def total_loss(per_slice_losses, weights):
-    """Weighted sum sum_i eta_i * loss_i over per-slice scalar losses."""
-    losses = list(per_slice_losses)
-    weights = _check_weights(len(losses), weights)
-    acc = losses[0] * weights[0]
-    for loss, w in zip(losses[1:], weights[1:]):
-        acc = acc + loss * w
-    return acc
 
 
 def positive_pair_loss(p_a, p_b):
@@ -128,32 +106,22 @@ def pair_total(terms, etas):
     """Eta-weighted total of a batch's pair-loss terms -> (total, per-pair values).
 
     Sample i of ``terms`` is pair i, and pair i is weighted by ``etas[i]``
-    inside one reduction.  ``terms`` is both twins' halves added for the
-    loss; one half alone gives that half the same gradient as the sum does.
-    The per-pair values (plain floats, unweighted) are read off the forward
-    data and are not on the tape.
+    inside one reduction.  Training back-propagates each twin's half alone,
+    which gives that half the same gradient as the sum of both would, and
+    reports the sum of both as the step's loss.  The per-pair values (plain
+    floats, unweighted) are read off the forward data and are not on the
+    tape.
     """
     B, _, H, W = terms.shape
-    etas = _check_weights(B, etas)
+    etas = [float(e) for e in etas]
+    if len(etas) != B:
+        raise ValueError(f"{B} losses vs {len(etas)} weights")
+    for e in etas:
+        if not (0.0 <= e <= 1.0):
+            raise ValueError(f"pair weight {e} outside [0, 1]")
     scale = -0.5 / (H * W)
     weight = np.broadcast_to(np.asarray(etas, dtype=terms.dtype)[:, None, None, None] * scale,
                              terms.shape)
     total = (terms * T.Tensor(weight)).sum()
     per = terms.data.sum(axis=(1, 2, 3), dtype=np.float64) * scale
     return total, [float(v) for v in per]
-
-
-def pair_batch_loss(p_a, p_b, cross, etas, targets=None):
-    """Eta-weighted sum of the pair losses of a batch -> (total, per-pair values).
-
-    Sample i of the B x 2 x H x W maps ``p_a`` and ``p_b`` is pair i.  Each
-    pair scores like ``positive_pair_loss`` on its own slice, or like
-    ``negative_pair_loss`` where ``cross[i]``.  ``targets``, when given,
-    holds (P_A, P_B) arrays used as the frozen target branches instead of
-    the detached maps.  The loss is twin b's half plus twin a's
-    (``pair_half_terms``), scored by ``pair_total``.
-    """
-    if p_a.data.shape != p_b.data.shape:
-        raise ValueError(f"shape mismatch: {p_a.data.shape} vs {p_b.data.shape}")
-    ta, tb = (p_a.data, p_b.data) if targets is None else targets
-    return pair_total(pair_half_terms(ta, p_b, cross) + pair_half_terms(tb, p_a, cross), etas)

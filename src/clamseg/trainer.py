@@ -9,17 +9,13 @@ seed (init, pair draws, data order) is counter-derived, so runs replay
 bit-exactly and checkpoints can resume mid-stream.
 
 Once the two maps of a step exist, each twin's half of the pair loss sees
-the other's map only as a detached target, so its loss, backward pass and
-optimizer update do not depend on the other twin's.  ``run_training``
-therefore runs twin b's half of every step in ``TwinB``, a forked
-``cores.Child``, while twin a's half runs here, unless the state is siamese
-or ``cores.two_cpus`` finds one CPU; then both halves run in process,
-through one joint loss and one backward pass.  The placements cannot differ
-in a bit: every parameter's gradient comes from its own twin's half alone,
-each half gets the same upstream gradient (its eta weights) and runs the
-same ops on the same operands in either process, and the parent adds the
-loss terms and the squared gradient norms in the same order as the
-in-process step.
+the other's map only as a plain array, so its loss, backward pass and
+optimizer update do not depend on the other twin's.  One ``_Half`` runs each
+twin's half: twin a's in the calling process, and twin b's in ``TwinB``, a
+forked ``cores.Child``, unless the state is siamese or ``cores.two_cpus``
+finds one CPU; then ``LocalTwinB`` runs it in process, answering the same
+messages.  The same code runs in either placement, so the bits cannot
+differ.
 
 model_a is the canonical inference model; after training, the marker output
 channel is calibrated from image-level labels alone (mean activation over
@@ -58,14 +54,15 @@ class Optimizer:
         else:
             self.m = self.v = None
 
-    def step(self, names=None):
-        """One tick from each parameter's own ``.grad``, in sorted-name order.
+    def step(self, names=None, t=None):
+        """Tick ``t``, by default the next one, from each parameter's own
+        ``.grad``, in sorted-name order.
 
-        ``names`` limits the update to those parameters; the tick count still
-        advances once.
+        ``names`` limits the update to those parameters.  Both twins' halves
+        of a training step update their own names as the same tick.
         """
         cfg = self.config
-        self.t += 1
+        self.t = self.t + 1 if t is None else t
         for name in sorted(self.params if names is None else names):
             w = self.params[name]
             g = w.grad
@@ -133,17 +130,18 @@ def _forward(model, slices):
     return model.forward(_batch_input(slices, model.dtype))
 
 
-def pair_loss_terms(model_a, model_b, pairs):
-    """Eta-weighted total loss of a pair batch plus each pair's loss value.
+def pair_loss_terms(target, p, cross, etas):
+    """One twin's half of a step's pair loss, back-propagated -> its terms.
 
-    Every slice_a runs through model_a and every slice_b through model_b,
-    one batched forward each; sample i is pair i.  The per-pair values are
-    plain floats for the metrics log.
+    ``p`` is this twin's map of the step's pairs, sample i being pair i, and
+    ``target`` the other twin's map as a plain array, so the gradient
+    reaches this twin alone.  The terms (``losses.pair_half_terms``) are
+    weighted by the pairs' etas for the backward pass and returned
+    unweighted, as an array, for the step's loss values.
     """
-    pa = _forward(model_a, [p.slice_a for p in pairs])
-    pb = _forward(model_b, [p.slice_b for p in pairs])
-    return losses.pair_batch_loss(pa, pb, [p.kind == "cross" for p in pairs],
-                                  [p.eta for p in pairs])
+    terms = losses.pair_half_terms(target, p, cross)
+    T.backward(losses.pair_total(terms, etas)[0])
+    return terms.data
 
 
 def _pair_provenance(pair):
@@ -159,90 +157,102 @@ def _grad_report(params, names):
     return bad, [float(np.sum(params[n].grad.astype(np.float64) ** 2)) for n in names]
 
 
-def _split_halves(state, pairs, names, twin_b):
-    """Twin a's half of a step here while ``twin_b`` runs twin b's.
+class _Half:
+    """One twin's half of every training step: its forward pass, its half of
+    the pair loss against the other twin's map, its backward pass and its
+    optimizer update.
 
-    -> (error, total, per-pair values, bad gradient names, squared norms),
-    with a's values before b's.  ``error`` is twin a's first exception, else
-    twin b's, and then the other values are None.
+    ``train_step`` runs twin a's half, and sends twin b's the same calls as
+    ``(method, *args)`` messages, which ``TwinB``'s worker or ``LocalTwinB``
+    answers.
     """
-    cross, etas = [p.kind == "cross" for p in pairs], [p.eta for p in pairs]
-    twin_b.send(([p.slice_b for p in pairs], cross, etas))
-    state.model_a.zero_grads()
-    error = None
-    try:
-        p_a = _forward(state.model_a, [p.slice_a for p in pairs])
-    except NumericError as e:
-        error = e
-    p_b = twin_b.recv()
-    if isinstance(p_b, Exception):
-        return error or p_b, None, None, None, None
-    twin_b.send(None if error else p_a.data)
-    if error:
-        return error, None, None, None, None
-    try:
-        terms = losses.pair_half_terms(p_b, p_a, cross)
-        T.backward(losses.pair_total(terms, etas)[0])
-    except NumericError as e:
-        error = e
-    else:
-        bad, sq = _grad_report(state.optimizer.params, names)
-    out_b = twin_b.recv()
-    if error or isinstance(out_b, Exception):
-        return error or out_b, None, None, None, None
-    terms_b, bad_b, sq_b = out_b
-    # b's terms plus a's, the order the in-process loss adds them in
-    total, per = losses.pair_total(T.Tensor(terms_b + terms.data), etas)
-    return None, total, per, bad + bad_b, None if bad or bad_b else sq + sq_b
+
+    def __init__(self, state, tag):
+        self.model = state.model_a if tag == "a" else state.model_b
+        self.optimizer = state.optimizer
+        self.names = [n for n in self.optimizer.params if n.startswith(f"{tag}/")]
+        self.p = None
+
+    def forward(self, slices):
+        """Zero this twin's gradients and map its slices -> the map's array."""
+        self.model.zero_grads()
+        self.p = _forward(self.model, slices)
+        return self.p.data
+
+    def backward(self, target, cross, etas):
+        """-> (loss terms, bad gradient names, squared gradient norms or None)."""
+        return (pair_loss_terms(target, self.p, cross, etas),
+                *_grad_report(self.optimizer.params, self.names))
+
+    def commit(self, t):
+        """Update this twin's parameters as optimizer tick ``t``."""
+        self.optimizer.step(self.names, t)
+
+    def answer(self, name, *args):
+        """Run method ``name`` -> its result, or the exception that a forward
+        or backward pass raised, reported as the step's error."""
+        try:
+            return getattr(self, name)(*args)
+        except Exception as e:
+            if name == "commit":
+                raise
+            return e
+
+
+def _first_error(*replies):
+    """Twin a's failure, else twin b's, else None."""
+    return next((r for r in replies if isinstance(r, Exception)), None)
 
 
 def train_step(state, pairs, twin_b=None):
     """One optimizer tick over a pair batch -> metrics dict.
 
-    Twin b's half of the step (its forward, its half of the pair loss, its
-    backward and its update) runs in ``twin_b``, a ``TwinB`` worker, when
-    one is given, and in process otherwise; the result is bit-identical.
-    A non-finite loss or gradient in either twin raises
-    ``NonFiniteLossError`` before either optimizer update, leaving the
-    weights and the step count unchanged.
+    Twin a's half of the step runs here and twin b's in ``twin_b``: a
+    ``TwinB`` worker, or by default a ``LocalTwinB`` in this process.  Both
+    run ``_Half``, so the placement changes no bit.  A non-finite loss or
+    gradient in either twin raises ``NonFiniteLossError`` before either
+    optimizer update, leaving the weights and the step count unchanged.
     """
     if not pairs:
         raise ValueError("empty pair batch")
-    params = state.optimizer.params
-    if twin_b is None:
-        names = list(params)
-        for _, model in state.models():
-            model.zero_grads()
-        error = None
-        try:
-            total, per = pair_loss_terms(state.model_a, state.model_b, pairs)
-            T.backward(total)
-        except NumericError as e:
-            error = e
-        else:
-            bad, sq = _grad_report(params, names)
-    else:
-        names = [n for n in params if n.startswith("a/")]
-        error, total, per, bad, sq = _split_halves(state, pairs, names, twin_b)
+    twin_b = twin_b or LocalTwinB(state)
+    half = _Half(state, "a")
+    cross, etas = [p.kind == "cross" for p in pairs], [p.eta for p in pairs]
+    twin_b.send(("forward", [p.slice_b for p in pairs]))
+    p_a = half.answer("forward", [p.slice_a for p in pairs])
+    p_b = twin_b.recv()
+    error = _first_error(p_a, p_b)
+    if error is None:
+        # in process, twin b's backward runs within this send, so a siamese
+        # state's one twin reports and commits the gradient of both halves
+        twin_b.send(("backward", p_a, cross, etas))
+        out_a = half.answer("backward", p_b, cross, etas)
+        out_b = twin_b.recv()
+        error = _first_error(out_a, out_b)
 
     provenance = [_pair_provenance(p) for p in pairs]
     cause = error if isinstance(error, NumericError) else None
     if cause is not None:
         error = NonFiniteLossError(f"non-finite loss at step {state.step}: {error}",
                                    provenance=provenance)
-    elif error is None and bad:
-        error = NonFiniteLossError(
-            f"non-finite gradient at step {state.step} in {', '.join(bad[:3])}"
-            + (f" and {len(bad) - 3} more" if len(bad) > 3 else ""),
-            provenance=provenance)
-    if twin_b is not None:
-        twin_b.send(error is None)  # commit or abort twin b's update
+    elif error is None:
+        (terms_a, bad, sq), (terms_b, bad_b, sq_b) = out_a, out_b
+        bad += bad_b
+        if bad:
+            error = NonFiniteLossError(
+                f"non-finite gradient at step {state.step} in {', '.join(bad[:3])}"
+                + (f" and {len(bad) - 3} more" if len(bad) > 3 else ""),
+                provenance=provenance)
     if error is not None:
-        raise error from cause
-    state.optimizer.step(names)
+        raise error from cause  # neither twin commits
+    # b's terms plus a's, the order the loss has always added them in
+    total, per = losses.pair_total(T.Tensor(terms_b + terms_a), etas)
+    t = state.step + 1
+    twin_b.send(("commit", t))
+    half.commit(t)
 
     grad_sq = 0.0
-    for v in sq:  # a's parameters, then b's
+    for v in sq + sq_b:  # a's parameters, then b's
         grad_sq += v
     pos = [v for v, p in zip(per, pairs) if p.kind != "cross"]
     neg = [v for v, p in zip(per, pairs) if p.kind == "cross"]
@@ -253,7 +263,29 @@ def train_step(state, pairs, twin_b=None):
             "grad_norm": math.sqrt(grad_sq)}
 
 
-# -- twin b's worker --------------------------------------------------------
+# -- twin b's placements ----------------------------------------------------
+
+class LocalTwinB:
+    """Twin b's half of every training step in this process, behind
+    ``TwinB``'s interface: for a siamese state, whose one twin cannot be
+    split across processes, and in a process allowed one CPU."""
+
+    def __init__(self, state):
+        self.half = _Half(state, "b")
+        self.reply = None
+
+    def send(self, msg):
+        self.reply = self.half.answer(*msg)
+
+    def recv(self):
+        return self.reply
+
+    def pull(self, state):
+        """Nothing to copy: twin b's arrays are ``state``'s own."""
+
+    def close(self):
+        pass
+
 
 class TwinB(Child):
     """Twin b's half of every training step, in a forked worker process.
@@ -261,9 +293,9 @@ class TwinB(Child):
     The worker starts from a copy of the state and keeps twin b's weights
     and adam moments current from then on; the parent's copies of them go
     stale until ``pull``.  Per step, ``train_step`` sends twin b's slices,
-    the two processes swap their detached maps, the worker returns its loss
-    terms, bad-gradient names and squared gradient norms, and the parent
-    sends commit or abort.
+    the two processes swap their maps, the worker returns its loss terms,
+    bad-gradient names and squared gradient norms, and the parent sends a
+    commit unless the step failed.
     """
 
     def __init__(self, state):
@@ -278,33 +310,17 @@ class TwinB(Child):
 
 
 def _twin_b_worker(conn, state):
-    """Serve twin b's half of each step, and ``pull`` requests, until EOF."""
-    params = state.optimizer.params
-    names = [n for n in params if n.startswith("b/")]
+    """Answer twin b's messages, and ``pull`` requests, until EOF."""
+    half = _Half(state, "b")
     while True:
         msg = conn.recv()
         if msg == "pull":
-            conn.send({k: v for k, v in _checkpoint_arrays(state).items()
-                       if k.startswith(("model_b/", "opt/m/b/", "opt/v/b/"))})
-            continue
-        slices, cross, etas = msg
-        state.model_b.zero_grads()
-        try:
-            p_b = _forward(state.model_b, slices)
-        except Exception as e:
-            conn.send(e)
+            reply = {k: v for k, v in _checkpoint_arrays(state).items()
+                     if k.startswith(("model_b/", "opt/m/b/", "opt/v/b/"))}
         else:
-            conn.send(p_b.data)
-            p_a = conn.recv()
-            if p_a is not None:
-                try:
-                    terms = losses.pair_half_terms(p_a, p_b, cross)
-                    T.backward(losses.pair_total(terms, etas)[0])
-                    conn.send((terms.data, *_grad_report(params, names)))
-                except Exception as e:
-                    conn.send(e)
-        if conn.recv():
-            state.optimizer.step(names)
+            reply = half.answer(*msg)
+        if reply is not None:
+            conn.send(reply)
 
 
 # -- state serialization ----------------------------------------------------
@@ -504,8 +520,8 @@ def run_training(data_dir, model_config, opt_config, policy, steps, seed,
     metrics = []
     held_loss, held = math.inf, 0
     # a siamese state has one twin, and a process allowed one CPU has no
-    # core to spare: both run twin b in process
-    twin_b = None if state.siamese or not two_cpus() else TwinB(state)
+    # core to spare: both run twin b's half in process
+    twin_b = LocalTwinB(state) if state.siamese or not two_cpus() else TwinB(state)
     try:
         with open(out_path + ".log", "w", encoding="ascii") as log:
             log.writelines(carried)
@@ -525,14 +541,11 @@ def run_training(data_dir, model_config, opt_config, policy, steps, seed,
                           f"{held_loss:.6f} for {held} steps, to step {m['step']}; "
                           "the twins may have stopped learning", file=sys.stderr)
                 if checkpoint_every and state.step % checkpoint_every == 0:
-                    if twin_b is not None:
-                        twin_b.pull(state)
+                    twin_b.pull(state)
                     save_state(state, out_path)
-        if twin_b is not None:
-            twin_b.pull(state)
+        twin_b.pull(state)
     finally:
-        if twin_b is not None:
-            twin_b.close()
+        twin_b.close()
 
     state.marker_channel = calibrate_marker_channel(state, batch)
     save_state(state, out_path)

@@ -138,48 +138,6 @@ def test_pixel_permutation_invariance():
 
 
 # ---------------------------------------------------------------------------
-# total_loss
-
-def _scalar(v):
-    return T.Tensor(np.asarray(v, dtype=np.float64))
-
-
-def test_total_loss_weighted_sum():
-    out = losses.total_loss([_scalar(-0.5), _scalar(0.2), _scalar(0.4)], [1.0, 0.25, 0.5])
-    assert out.item() == pytest.approx(-0.25, abs=1e-12)
-
-
-def test_total_loss_unit_weights_sum_and_linearity():
-    vals = [-0.3, 0.1, 0.7]
-    out = losses.total_loss([_scalar(v) for v in vals], [1.0, 1.0, 1.0])
-    assert out.item() == pytest.approx(sum(vals), rel=1e-12)
-    # linear in each slice loss: doubling one loss changes the total by eta*delta
-    base = losses.total_loss([_scalar(v) for v in vals], [0.5, 0.25, 1.0]).item()
-    bumped = losses.total_loss([_scalar(vals[0] + 1.0), _scalar(vals[1]), _scalar(vals[2])],
-                               [0.5, 0.25, 1.0]).item()
-    assert bumped - base == pytest.approx(0.5, abs=1e-12)
-
-
-def test_total_loss_zero_weights_kill_gradient():
-    p = T.Tensor(np.full((1, 2, 2, 2), 0.5), requires_grad=True)
-    y = losses.one_hot_target(np.ones((1, 2, 2)), dtype=np.float64)
-    slice_losses = [losses.hybrid_loss(y, p * 1.0) for _ in range(3)]
-    out = losses.total_loss(slice_losses, [0.0, 0.0, 0.0])
-    assert out.item() == 0.0
-    T.backward(out)
-    np.testing.assert_array_equal(p.grad, 0.0)
-
-
-def test_total_loss_argument_validation():
-    with pytest.raises(ValueError):
-        losses.total_loss([_scalar(1.0)], [0.5, 0.5])
-    with pytest.raises(ValueError):
-        losses.total_loss([], [])
-    with pytest.raises(ValueError):
-        losses.total_loss([_scalar(1.0)], [1.5])
-
-
-# ---------------------------------------------------------------------------
 # pair losses
 
 def _soft(rng, shape=(1, 2, 3, 3)):
@@ -254,13 +212,20 @@ def test_negative_pair_requires_two_channels():
         losses.negative_pair_loss(T.Tensor(tri), T.Tensor(tri.copy()))
 
 
+def _pair_batch_loss(a, b, cross, etas):
+    """A pair batch's loss as a training step reports it: twin b's half
+    (against a's map) plus twin a's (against b's), weighted by the etas."""
+    return losses.pair_total(losses.pair_half_terms(a.data, b, cross)
+                             + losses.pair_half_terms(b.data, a, cross), etas)
+
+
 def test_pair_batch_loss_matches_per_pair_losses():
     rng = np.random.default_rng(60)
     a = T.Tensor(_soft(rng, (3, 2, 3, 3)), dtype=np.float64)
     b = T.Tensor(_soft(rng, (3, 2, 3, 3)), dtype=np.float64)
     cross = [False, True, False]
     etas = [0.75, 0.4, 0.0]
-    total, per = losses.pair_batch_loss(a, b, cross, etas)
+    total, per = _pair_batch_loss(a, b, cross, etas)
     want = []
     for i, neg in enumerate(cross):
         ai, bi = T.Tensor(a.data[i:i + 1]), T.Tensor(b.data[i:i + 1])
@@ -274,8 +239,8 @@ def test_pair_batch_loss_weights_each_sample_gradient():
     rng = np.random.default_rng(61)
     za = T.Tensor(rng.standard_normal((2, 2, 3, 3)), requires_grad=True, dtype=np.float64)
     zb = T.Tensor(rng.standard_normal((2, 2, 3, 3)), requires_grad=True, dtype=np.float64)
-    total, _ = losses.pair_batch_loss(T.softmax_channels(za), T.softmax_channels(zb),
-                                      [True, False], [0.0, 0.5])
+    total, _ = _pair_batch_loss(T.softmax_channels(za), T.softmax_channels(zb),
+                                [True, False], [0.0, 0.5])
     T.backward(total)
     # a zero eta makes its sample inert in both branches
     np.testing.assert_array_equal(za.grad[0], 0.0)
@@ -285,15 +250,16 @@ def test_pair_batch_loss_weights_each_sample_gradient():
 
 def test_pair_batch_loss_argument_validation():
     u = T.Tensor(np.full((2, 2, 2, 2), 0.5))
+    terms = losses.pair_half_terms(u.data, u, [False, False])
     with pytest.raises(ValueError, match="weights"):
-        losses.pair_batch_loss(u, u, [False, False], [1.0])
+        losses.pair_total(terms, [1.0])
     with pytest.raises(ValueError, match="kinds"):
-        losses.pair_batch_loss(u, u, [False], [1.0, 1.0])
+        losses.pair_half_terms(u.data, u, [False])
     with pytest.raises(ValueError, match="outside"):
-        losses.pair_batch_loss(u, u, [False, False], [1.0, 2.0])
+        losses.pair_total(terms, [1.0, 2.0])
     tri = T.Tensor(np.full((1, 3, 2, 2), 1 / 3))
     with pytest.raises(ValueError, match="C = 2"):
-        losses.pair_batch_loss(tri, tri, [True], [1.0])
+        losses.pair_half_terms(tri.data, tri, [True])
 
 
 def test_loss_gradcheck_suite_passes():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from clamseg import manifest as M
-from clamseg import pgm, phantoms, preprocess
+from clamseg import imops, pgm, phantoms, preprocess
 from clamseg.errors import DataError
 
 
@@ -111,6 +111,21 @@ def test_organ_stub_recovers_phantom_organ(tmp_path):
             stub = preprocess.organ_mask_threshold(img)
             scores.append(dice(stub, truth))
     assert min(scores) >= 0.95
+
+
+def test_organ_stub_drops_a_stray_blob_and_fills_a_hole():
+    # Otsu's threshold alone keeps the blob and the hole: each of the
+    # component step and the closing changes this image's mask
+    organ = np.zeros((32, 32), dtype=bool)
+    organ[8:24, 6:20] = True
+    img = np.where(organ, 0.6, 0.0)
+    img[15, 12] = 0.0  # a one-pixel hole inside the organ
+    img[26:29, 24:28] = 0.8  # a separate bright blob
+    np.testing.assert_array_equal(preprocess.organ_mask_threshold(img), organ)
+    assert np.array_equal(imops.close_3x3(organ), organ)
+    otsu = img > imops.otsu_threshold(img)
+    assert not np.array_equal(imops.close_3x3(otsu), organ)
+    assert not np.array_equal(imops.largest_component(otsu), organ)
 
 
 def test_organ_stub_empty_on_blank():

@@ -758,8 +758,10 @@ def test_training_steps_keep_their_memory_without_page_faults():
     cross, etas = [i % 2 == 1 for i in range(8)], [1.0] * 8
 
     def step():
-        total, _ = losses.pair_batch_loss(model_a.forward(xa), model_b.forward(xb), cross, etas)
-        T.backward(total)
+        # each twin's half against the other's map, back-propagated apart
+        pa, pb = model_a.forward(xa), model_b.forward(xb)
+        for target, p in ((pa.data, pb), (pb.data, pa)):
+            T.backward(losses.pair_total(losses.pair_half_terms(target, p, cross), etas)[0])
 
     for _ in range(3):
         step()

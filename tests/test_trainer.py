@@ -195,11 +195,21 @@ def test_non_finite_gradient_rejected_before_update(monkeypatch):
 
 def test_pair_loss_terms_per_pair_values_match_single_pairs():
     state = tiny_state()
+
+    def loss(pairs):
+        # twin b's half plus twin a's, as a training step adds them
+        cross, etas = [p.kind == "cross" for p in pairs], [p.eta for p in pairs]
+        pa = trainer._forward(state.model_a, [p.slice_a for p in pairs])
+        pb = trainer._forward(state.model_b, [p.slice_b for p in pairs])
+        terms = (trainer.pair_loss_terms(pa.data, pb, cross, etas)
+                 + trainer.pair_loss_terms(pb.data, pa, cross, etas))
+        return losses.pair_total(T.Tensor(terms), etas)
+
     pairs = [pair_of("augment", phantom_slice(1), phantom_slice(2), eta=0.75),
              pair_of("cross", phantom_slice(3), phantom_slice(4), eta=0.4),
              pair_of("normal", phantom_slice(5), phantom_slice(6), eta=1.0)]
-    total, per = trainer.pair_loss_terms(state.model_a, state.model_b, pairs)
-    single = [trainer.pair_loss_terms(state.model_a, state.model_b, [p])[1][0] for p in pairs]
+    total, per = loss(pairs)
+    single = [loss([p])[1][0] for p in pairs]
     np.testing.assert_allclose(per, single, rtol=1e-6)
     assert total.item() == pytest.approx(0.75 * per[0] + 0.4 * per[1] + per[2], rel=1e-5)
 
@@ -219,7 +229,7 @@ def capture_targets(model_a, model_b, pairs):
 
 def frozen_pair_loss(model_a, model_b, pairs, frozen):
     """(total pair loss, relu signature) with the target branches fixed to the
-    captured ``frozen`` arrays.
+    captured ``frozen`` (P_A, P_B) arrays instead of the live maps.
 
     The gradient equals that of the live loss (the stop-gradient branch
     contributes none), but only the frozen form gives a finite-difference
@@ -228,8 +238,10 @@ def frozen_pair_loss(model_a, model_b, pairs, frozen):
     trace_a, trace_b = {}, {}
     pa = model_a.forward(pair_batch(pairs, "slice_a", model_a.dtype), trace=trace_a)
     pb = model_b.forward(pair_batch(pairs, "slice_b", model_b.dtype), trace=trace_b)
-    total, _ = losses.pair_batch_loss(pa, pb, [p.kind == "cross" for p in pairs],
-                                      [p.eta for p in pairs], targets=frozen)
+    cross = [p.kind == "cross" for p in pairs]
+    total, _ = losses.pair_total(losses.pair_half_terms(frozen[0], pb, cross)
+                                 + losses.pair_half_terms(frozen[1], pa, cross),
+                                 [p.eta for p in pairs])
     return total, gradcheck._relu_signature(trace_a) + gradcheck._relu_signature(trace_b)
 
 
@@ -306,7 +318,13 @@ def test_frozen_targets_reproduce_live_loss_value():
     for kind in ("augment", "cross"):
         pairs = [pair_of(kind, sa, sb, eta=1.0)]
         frozen = capture_targets(ma, mb, pairs)
-        live, _ = trainer.pair_loss_terms(ma, mb, pairs)
+        # the two halves of a training step, each against the other's live map
+        cross = [kind == "cross"]
+        pa = ma.forward(pair_batch(pairs, "slice_a", ma.dtype))
+        pb = mb.forward(pair_batch(pairs, "slice_b", mb.dtype))
+        terms = (trainer.pair_loss_terms(pa.data, pb, cross, [1.0])
+                 + trainer.pair_loss_terms(pb.data, pa, cross, [1.0]))
+        live, _ = losses.pair_total(T.Tensor(terms), [1.0])
         froz, _ = frozen_pair_loss(ma, mb, pairs, frozen)
         assert froz.item() == pytest.approx(live.item(), abs=1e-12)
 

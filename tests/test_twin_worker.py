@@ -73,38 +73,75 @@ def poison_b(state):
 # -- bits -------------------------------------------------------------------
 
 def test_halves_back_propagated_apart_match_the_joint_loss():
+    # each placement of train_step against one joint loss over both halves,
+    # one backward pass and one optimizer tick over every parameter; in a
+    # siamese state both halves back-propagate into one set of gradients
     cfg = UnetPPConfig(levels=2, input_size=8, base_channels=2)
-    state = trainer.init_state(cfg, config.to_optimizer_config(config.RunConfig()),
-                               augment.PairPolicy(n_augment=1, n_normal=1, n_cross=2,
-                                                  tile_size=8, default_eta=0.5), 5)
+    policy = augment.PairPolicy(n_augment=1, n_normal=1, n_cross=2, tile_size=8,
+                                default_eta=0.5)
     rng = np.random.default_rng(3)
     sa, sb = (rng.uniform(0, 1, (4, 8, 8)).astype(np.float32) for _ in range(2))
     cross, etas = [False, True, True, False], [1.0, 0.5, 0.25, 0.75]
+    pairs = [augment.PairSample("cross" if c else "augment", a, b, e, "a.pgm", "b.pgm",
+                                (0, 0), {}) for a, b, c, e in zip(sa, sb, cross, etas)]
 
-    def grads():
-        return {k: t.grad.copy() for k, t in state.optimizer.params.items()}
+    def state(optimizer, siamese):
+        opt = config.to_optimizer_config(config.RunConfig(optimizer=optimizer, lr=0.05))
+        return trainer.init_state(cfg, opt, policy, 5, siamese=siamese)
 
-    for _, model in state.models():
-        model.zero_grads()
-    p_a, p_b = trainer._forward(state.model_a, sa), trainer._forward(state.model_b, sb)
-    total, per = losses.pair_batch_loss(p_a, p_b, cross, etas)
-    T.backward(total)
-    joint = grads()
+    cases = [(opt, siamese, place) for opt in ("sgd", "adam") for siamese in (False, True)
+             for place in ("local", "worker") if not (siamese and place == "worker")]
+    for optimizer, siamese, place in cases:
+        ref = state(optimizer, siamese)
+        for _, model in ref.models():
+            model.zero_grads()
+        p_a, p_b = trainer._forward(ref.model_a, sa), trainer._forward(ref.model_b, sb)
+        total, per = losses.pair_total(losses.pair_half_terms(p_a.data, p_b, cross)
+                                       + losses.pair_half_terms(p_b.data, p_a, cross), etas)
+        T.backward(total)
+        grad_sq = sum(float(np.sum(t.grad.astype(np.float64) ** 2))
+                      for t in ref.optimizer.params.values())
+        ref.optimizer.step()
 
-    for _, model in state.models():
-        model.zero_grads()
-    p_a, p_b = trainer._forward(state.model_a, sa), trainer._forward(state.model_b, sb)
-    half_a = losses.pair_half_terms(p_b.data, p_a, cross)
-    half_b = losses.pair_half_terms(p_a.data, p_b, cross)
-    T.backward(losses.pair_total(half_b, etas)[0])
-    T.backward(losses.pair_total(half_a, etas)[0])
-    split_total, split_per = losses.pair_total(T.Tensor(half_b.data + half_a.data), etas)
+        split = state(optimizer, siamese)
+        twin_b = (TwinB if place == "worker" else trainer.LocalTwinB)(split)
+        try:
+            m = trainer.train_step(split, pairs, twin_b)
+            twin_b.pull(split)
+        finally:
+            twin_b.close()
+        case = (optimizer, siamese, place)
+        assert m["total_loss"] == total.item(), case
+        assert m["pos_loss_mean"] == np.mean([per[0], per[3]]), case
+        assert m["neg_loss_mean"] == np.mean(per[1:3]), case
+        assert m["grad_norm"] == np.sqrt(grad_sq), case
+        assert split.step == ref.step == 1, case
+        want = trainer._checkpoint_arrays(ref)
+        for name, arr in trainer._checkpoint_arrays(split).items():
+            assert arr.tobytes() == want[name].tobytes(), (case, name)
 
-    assert split_total.data.tobytes() == total.data.tobytes()
-    assert split_per == per
-    split = grads()
-    for name, g in joint.items():
-        assert split[name].tobytes() == g.tobytes(), name
+
+def test_each_half_calls_pair_loss_terms_once_per_step(data, tmp_path, monkeypatch):
+    # both halves reach the loss through the module attribute, so patching
+    # it (a tracer, another objective) reaches both in either placement
+    log = tmp_path / "calls"
+    pair_loss_terms = trainer.pair_loss_terms
+
+    def counted(*args):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return pair_loss_terms(*args)
+
+    monkeypatch.setattr(trainer, "pair_loss_terms", counted)
+    for worker in (True, False):
+        place(monkeypatch, worker)
+        log.write_text("")
+        trainer.run_training(**run_args(data, str(tmp_path / "r.clam"), steps=3))
+        pids = log.read_text().split()
+        here = pids.count(str(os.getpid()))
+        # twin a's half here; twin b's in the worker, or here too
+        assert here == (3 if worker else 6)
+        assert len(pids) == 6 and len(set(pids)) == (2 if worker else 1)
 
 
 @pytest.mark.parametrize("optimizer,lr", [("sgd", 0.05), ("adam", 1e-3)])
