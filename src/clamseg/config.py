@@ -9,6 +9,7 @@ their line number.  The ``to_*`` functions validate a ``RunConfig`` into the
 objects the trainer runs on.
 """
 
+import math
 from dataclasses import dataclass, fields
 
 from .augment import PairPolicy
@@ -27,14 +28,14 @@ class OptimizerConfig:
     def validate(self):
         if self.kind not in ("sgd", "adam"):
             raise ValueError(f"optimizer kind must be sgd or adam, got {self.kind!r}")
-        if self.lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {self.lr}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"learning rate must be positive and finite, got {self.lr}")
         for nm in ("beta1", "beta2"):
             b = getattr(self, nm)
             if not 0.0 < b < 1.0:
                 raise ValueError(f"{nm} must be in (0, 1), got {b}")
-        if self.eps <= 0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
+        if not (math.isfinite(self.eps) and self.eps > 0):
+            raise ValueError(f"eps must be positive and finite, got {self.eps}")
 
 
 @dataclass

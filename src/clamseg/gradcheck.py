@@ -199,7 +199,7 @@ def loss_cases(seed):
     # the live branch also moves the frozen target's value), so the check
     # holds the target fixed and probes one term's prediction branch
     za = rng.uniform(-2.0, 2.0, size=(1, 2, 4, 4))
-    pa = T.softmax_channels(T.Tensor(za, dtype=np.float64)).detach()
+    pa = T.softmax_channels(T.Tensor(za, dtype=np.float64))
     yield ("positive_pair/first-term",
            lambda t: losses.hybrid_loss(pa, T.softmax_channels(t)), z)
     comp = T.Tensor(pa.data[:, ::-1].copy())

@@ -1,4 +1,4 @@
-"""Probabilistic hybrid loss and the contrastive pair losses built on it.
+"""Probabilistic hybrid loss and the contrastive pair loss built on it.
 
 The hybrid loss of a target map Y against a probability map P (both
 B x C x H x W) is
@@ -10,13 +10,13 @@ be negative; a perfect one-hot match scores -0.5).  The log is clamped at
 p >= 1e-7 and the ratio uses the convention 0/0 := 0, which makes pixels with
 y = 0 in every class exactly inert: zero loss and zero gradient to P.
 
-Pair losses symmetrize the hybrid loss with a stop-gradient on the target
-branch.  Positive pairs pull the two maps together; negative pairs (C = 2
-only) push map B toward the channel-swapped complement of map A and vice
-versa, reusing the same hybrid primitive.  Training evaluates a whole step's
-pairs at once, one pair per batch sample, in two halves, one per twin: a
-twin's half (``pair_half_terms``) scores its own map against the other
-twin's as a plain array, and ``pair_total`` weights and reduces it.
+The pair loss symmetrizes the hybrid terms with a stop-gradient on the
+target branch.  Plain pairs pull the two maps together; cross pairs (C = 2
+only) push each map toward the channel-swapped complement of the other.
+Training evaluates a whole step's pairs at once, one pair per batch sample,
+in two halves, one per twin: a twin's half (``pair_half_terms``) scores its
+own map against the other twin's as a plain array, and ``pair_total``
+weights and reduces it.
 """
 
 import numpy as np
@@ -25,16 +25,6 @@ from . import tensor as T
 
 LOG_FLOOR = 1e-7
 RANGE_SLACK = 1e-6
-
-
-def one_hot_target(mask, marker_channel=1, dtype=np.float32):
-    """B x H x W {0,1} mask -> B x 2 x H x W one-hot target tensor."""
-    mask = np.asarray(mask)
-    if mask.ndim != 3:
-        raise ValueError(f"mask must be B x H x W, got shape {mask.shape}")
-    marker = (mask > 0).astype(dtype)
-    chans = [1 - marker, marker] if marker_channel == 1 else [marker, 1 - marker]
-    return T.Tensor(np.stack(chans, axis=1), dtype=dtype)
 
 
 def _check_map(name, t):
@@ -59,28 +49,6 @@ def hybrid_loss(y, p):
     terms = _hybrid_terms(y, p)
     n = y.data.shape[0] * y.data.shape[2] * y.data.shape[3]
     return terms.sum() * (-1.0 / n)
-
-
-def positive_pair_loss(p_a, p_b):
-    """Half-sum of hybrid losses with each map as the other's frozen target."""
-    if p_a.data.shape != p_b.data.shape:
-        raise ValueError(f"shape mismatch: {p_a.data.shape} vs {p_b.data.shape}")
-    return (hybrid_loss(p_a.detach(), p_b) + hybrid_loss(p_b.detach(), p_a)) * 0.5
-
-
-def _complement(p):
-    # channel-swapped frozen copy of a two-class map; target branch only,
-    # so no tape connection is needed
-    if p.data.shape[1] != 2:
-        raise ValueError(f"negative_pair_loss requires C = 2, got C = {p.data.shape[1]}")
-    return T.Tensor(p.data[:, ::-1].copy())
-
-
-def negative_pair_loss(p_a, p_b):
-    """Like the positive loss but against channel-swapped frozen targets."""
-    if p_a.data.shape != p_b.data.shape:
-        raise ValueError(f"shape mismatch: {p_a.data.shape} vs {p_b.data.shape}")
-    return (hybrid_loss(_complement(p_a), p_b) + hybrid_loss(_complement(p_b), p_a)) * 0.5
 
 
 def pair_half_terms(target, p, cross):

@@ -1,8 +1,8 @@
 """Binary 8-bit PGM (P5) reading and writing.
 
 Header: magic ``P5``, whitespace-separated width, height, maxval (must be
-<= 255 here), with ``#`` comments allowed between tokens; then one raster
-byte per pixel.  Grayscale values map to [0,1] by v/255; the reverse
+255 here, the only value the writer uses and the scale the readers assume),
+with ``#`` comments allowed between tokens; then one raster byte per pixel.  Grayscale values map to [0,1] by v/255; the reverse
 quantization is round-half-up, floor(v*255 + 0.5).  Masks are stored as
 0/255 and read back as value > 127.
 """
@@ -52,8 +52,8 @@ def read_pgm(path):
         raise DataError(f"{path}: {e}") from None
     if w < 1 or h < 1:
         raise DataError(f"{path}: bad dimensions {w}x{h}")
-    if not (0 < mv <= 255):
-        raise DataError(f"{path}: unsupported maxval {mv} (8-bit only)")
+    if mv != 255:
+        raise DataError(f"{path}: unsupported maxval {mv} (255 only)")
     pos += 1  # single whitespace byte after maxval
     raster = data[pos:pos + w * h]
     if len(raster) != w * h:

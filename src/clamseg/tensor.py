@@ -117,10 +117,6 @@ class Tensor:
     def item(self):
         return float(self.data.item())
 
-    def detach(self):
-        """Stop-gradient view: same values, no tape connection."""
-        return Tensor(self.data, requires_grad=False)
-
     def zero_grad(self):
         if self.grad is not None:
             self.grad[...] = 0

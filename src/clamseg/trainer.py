@@ -54,16 +54,16 @@ class Optimizer:
         else:
             self.m = self.v = None
 
-    def step(self, names=None, t=None):
-        """Tick ``t``, by default the next one, from each parameter's own
+    def step(self, names, t):
+        """Tick ``t`` on the parameters ``names``, from each one's own
         ``.grad``, in sorted-name order.
 
-        ``names`` limits the update to those parameters.  Both twins' halves
-        of a training step update their own names as the same tick.
+        Both twins' halves of a training step update their own names as the
+        same tick.
         """
         cfg = self.config
-        self.t = self.t + 1 if t is None else t
-        for name in sorted(self.params if names is None else names):
+        self.t = t
+        for name in sorted(names):
             w = self.params[name]
             g = w.grad
             if cfg.kind == "sgd":
@@ -507,6 +507,8 @@ def run_training(data_dir, model_config, opt_config, policy, steps, seed,
     training continues from its recorded step up to `steps`; the log starts
     with the resumed checkpoint's log lines up to its step.
     """
+    if checkpoint_every < 0:
+        raise ValueError(f"checkpoint_every must be nonnegative, got {checkpoint_every}")
     carried = []
     if resume_from is not None:
         state = load_state(resume_from)

@@ -192,7 +192,8 @@ class UnetPP:
         """Probability map (B x 2 x S x S) from head(depth), deepest by default.
 
         Only nodes with i + j <= depth are evaluated, so a head's output is
-        bit-identical between the full and the pruned-to-depth graph.
+        bit-identical between the full and the pruned-to-depth graph.  A
+        ``trace`` dict receives each relu's input as ``<conv name>.pre``.
         """
         cfg = self.config
         d = self.resolve_depth(depth)
@@ -220,13 +221,7 @@ class UnetPP:
                 proj = self._apply(proj_spec, up, trace)
                 fused = T.concat_channels([X[(i, jj)] for jj in range(j)] + [proj])
                 X[(i, j)] = self._apply(fuse_spec, fused, trace)
-        logits = self._apply(self.head_plan[d], X[(0, d)], trace)
-        if trace is not None:
-            trace[f"head_{d}.logits"] = logits.data
-        prob = T.softmax_channels(logits)
-        if trace is not None:
-            trace[f"head_{d}.prob"] = prob.data
-        return prob
+        return T.softmax_channels(self._apply(self.head_plan[d], X[(0, d)], trace))
 
     # -- parameter access ---------------------------------------------------
 

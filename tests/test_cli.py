@@ -111,6 +111,17 @@ def test_train_out_in_missing_dir_exits_2_before_any_step(ws, tmp_path, capsys, 
     assert steps == []
 
 
+def test_train_negative_checkpoint_every_exits_1_before_reading_data(tmp_path, capsys):
+    cfg = tmp_path / "neg.cfg"
+    cfg.write_text("checkpoint_every = -3\n")
+    ckpt = str(tmp_path / "m.ckpt")
+    # the data directory is missing, so reading it first would exit 2
+    assert cli.main(["train", "--data", str(tmp_path / "nope"), "--config", str(cfg),
+                     "--out", ckpt, "--steps", "1", "--seed", "0"]) == 1
+    assert "checkpoint_every must be nonnegative" in capsys.readouterr().err
+    assert not os.path.exists(ckpt)
+
+
 def test_train_bad_config_cites_line(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("levels = 2\nwat = 1\n")

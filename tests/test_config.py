@@ -119,6 +119,14 @@ def test_to_optimizer_config():
         config.to_optimizer_config(rc)
 
 
+@pytest.mark.parametrize("key", ["lr", "eps"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_to_optimizer_config_rejects_non_finite(key, value):
+    rc = config.parse_config(f"{key} = {value}\n")
+    with pytest.raises(UsageError, match=f"must be positive and finite, got {value}"):
+        config.to_optimizer_config(rc)
+
+
 def test_to_policy():
     rc = config.parse_config("n_augment = 1\nn_normal = 0\nn_cross = 3\n"
                              "tile_size = 8\ndefault_eta = 0.75\n")

@@ -33,6 +33,12 @@ def _as_maps(ylist, plist):
     return y, p
 
 
+def _one_hot(mask):
+    """B x H x W {0,1} mask -> B x 2 x H x W one-hot target (marker channel 1)."""
+    m = np.asarray(mask, dtype=np.float64)
+    return np.stack([1 - m, m], axis=1)
+
+
 def test_oracle_reproduces_frozen_values():
     y, p = _as_maps([[1, 0]], [[1, 0]])
     assert hybrid_oracle(y, p) == pytest.approx(-0.5, abs=1e-12)
@@ -113,7 +119,7 @@ def test_validation_errors():
 def test_moving_toward_one_hot_target_decreases_loss(seed):
     rng = np.random.default_rng(40 + seed)
     hard = rng.integers(0, 2, size=(1, 3, 3))
-    y = losses.one_hot_target(hard, dtype=np.float64)
+    y = T.Tensor(_one_hot(hard))
     p = rng.uniform(0.05, 0.95, size=(1, 2, 3, 3))
     p = p / p.sum(axis=1, keepdims=True)
     base = losses.hybrid_loss(y, T.Tensor(p, dtype=np.float64)).item()
@@ -129,7 +135,7 @@ def test_pixel_permutation_invariance():
     rng = np.random.default_rng(9)
     p = rng.uniform(0.05, 0.95, size=(1, 2, 1, 12))
     p = p / p.sum(axis=1, keepdims=True)
-    y = losses.one_hot_target(rng.integers(0, 2, size=(1, 1, 12)), dtype=np.float64)
+    y = T.Tensor(_one_hot(rng.integers(0, 2, size=(1, 1, 12))))
     perm = rng.permutation(12)
     a = losses.hybrid_loss(y, T.Tensor(p, dtype=np.float64)).item()
     b = losses.hybrid_loss(T.Tensor(y.data[..., perm], dtype=np.float64),
@@ -138,78 +144,11 @@ def test_pixel_permutation_invariance():
 
 
 # ---------------------------------------------------------------------------
-# pair losses
+# pair losses, as a training step computes them
 
 def _soft(rng, shape=(1, 2, 3, 3)):
     z = rng.uniform(0.05, 0.95, size=shape)
     return z / z.sum(axis=1, keepdims=True)
-
-
-def test_positive_pair_one_hot_fixed_point():
-    m = losses.one_hot_target(np.array([[[0, 1], [1, 0]]]))
-    a = T.Tensor(m.data.copy())
-    b = T.Tensor(m.data.copy())
-    out = losses.positive_pair_loss(a, b)
-    assert out.item() == pytest.approx(-0.5, abs=1e-6)
-
-
-def test_positive_pair_symmetry():
-    rng = np.random.default_rng(21)
-    a = T.Tensor(_soft(rng))
-    b = T.Tensor(_soft(rng))
-    ab = losses.positive_pair_loss(a, b).item()
-    ba = losses.positive_pair_loss(b, a).item()
-    assert ab == ba
-
-
-def test_positive_pair_matches_compositional_oracle():
-    rng = np.random.default_rng(22)
-    a, b = _soft(rng), _soft(rng)
-    want = 0.5 * (hybrid_oracle(a, b) + hybrid_oracle(b, a))
-    got = losses.positive_pair_loss(T.Tensor(a, dtype=np.float64),
-                                    T.Tensor(b, dtype=np.float64)).item()
-    assert got == pytest.approx(want, rel=1e-10)
-
-
-def test_stop_gradient_freezes_target_branch():
-    rng = np.random.default_rng(23)
-    za = T.Tensor(rng.standard_normal((1, 2, 3, 3)), requires_grad=True, dtype=np.float64)
-    zb = T.Tensor(rng.standard_normal((1, 2, 3, 3)), requires_grad=True, dtype=np.float64)
-    pa, pb = T.softmax_channels(za), T.softmax_channels(zb)
-    first_term = losses.hybrid_loss(pa.detach(), pb)
-    T.backward(first_term)
-    np.testing.assert_array_equal(za.grad, 0.0)
-    assert np.abs(zb.grad).max() > 0
-
-
-def test_negative_pair_maximally_different_maps():
-    a = losses.one_hot_target(np.ones((1, 2, 2)))
-    b = losses.one_hot_target(np.zeros((1, 2, 2)))
-    out = losses.negative_pair_loss(T.Tensor(a.data.copy()), T.Tensor(b.data.copy()))
-    assert out.item() == pytest.approx(-0.5, abs=1e-6)
-
-
-def test_negative_pair_degenerate_uniform_equals_positive():
-    u = np.full((1, 2, 2, 2), 0.5)
-    neg = losses.negative_pair_loss(T.Tensor(u), T.Tensor(u.copy())).item()
-    pos = losses.positive_pair_loss(T.Tensor(u), T.Tensor(u.copy())).item()
-    assert neg == pytest.approx(pos, abs=1e-7)
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_negative_pair_matches_compositional_oracle(seed):
-    rng = np.random.default_rng(50 + seed)
-    a, b = _soft(rng), _soft(rng)
-    want = 0.5 * (hybrid_oracle(a[:, ::-1], b) + hybrid_oracle(b[:, ::-1], a))
-    got = losses.negative_pair_loss(T.Tensor(a, dtype=np.float64),
-                                    T.Tensor(b, dtype=np.float64)).item()
-    assert got == pytest.approx(want, rel=1e-10)
-
-
-def test_negative_pair_requires_two_channels():
-    tri = np.full((1, 3, 2, 2), 1 / 3)
-    with pytest.raises(ValueError):
-        losses.negative_pair_loss(T.Tensor(tri), T.Tensor(tri.copy()))
 
 
 def _pair_batch_loss(a, b, cross, etas):
@@ -217,6 +156,68 @@ def _pair_batch_loss(a, b, cross, etas):
     (against a's map) plus twin a's (against b's), weighted by the etas."""
     return losses.pair_total(losses.pair_half_terms(a.data, b, cross)
                              + losses.pair_half_terms(b.data, a, cross), etas)
+
+
+def _pair_loss(a, b, cross):
+    """One pair's loss at eta 1, from 1 x C x H x W arrays."""
+    total, _ = _pair_batch_loss(T.Tensor(a), T.Tensor(b), [cross], [1.0])
+    return total.item()
+
+
+def test_positive_pair_one_hot_fixed_point():
+    m = _one_hot(np.array([[[0, 1], [1, 0]]]))
+    assert _pair_loss(m, m.copy(), False) == pytest.approx(-0.5, abs=1e-6)
+
+
+def test_positive_pair_symmetry():
+    rng = np.random.default_rng(21)
+    a, b = _soft(rng), _soft(rng)
+    assert _pair_loss(a, b, False) == _pair_loss(b, a, False)
+
+
+def test_positive_pair_matches_compositional_oracle():
+    rng = np.random.default_rng(22)
+    a, b = _soft(rng), _soft(rng)
+    want = 0.5 * (hybrid_oracle(a, b) + hybrid_oracle(b, a))
+    assert _pair_loss(a, b, False) == pytest.approx(want, rel=1e-10)
+
+
+def test_stop_gradient_freezes_target_branch():
+    # twin b's half takes twin a's map as a plain array, so a's logits get
+    # nothing from it
+    rng = np.random.default_rng(23)
+    za = T.Tensor(rng.standard_normal((1, 2, 3, 3)), requires_grad=True, dtype=np.float64)
+    zb = T.Tensor(rng.standard_normal((1, 2, 3, 3)), requires_grad=True, dtype=np.float64)
+    pa, pb = T.softmax_channels(za), T.softmax_channels(zb)
+    half_b, _ = losses.pair_total(losses.pair_half_terms(pa.data, pb, [False]), [1.0])
+    T.backward(half_b)
+    np.testing.assert_array_equal(za.grad, 0.0)
+    assert np.abs(zb.grad).max() > 0
+
+
+def test_negative_pair_maximally_different_maps():
+    a, b = _one_hot(np.ones((1, 2, 2))), _one_hot(np.zeros((1, 2, 2)))
+    assert _pair_loss(a, b, True) == pytest.approx(-0.5, abs=1e-6)
+
+
+def test_negative_pair_degenerate_uniform_equals_positive():
+    u = np.full((1, 2, 2, 2), 0.5)
+    assert _pair_loss(u, u.copy(), True) == pytest.approx(_pair_loss(u, u.copy(), False),
+                                                          abs=1e-7)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_negative_pair_matches_compositional_oracle(seed):
+    rng = np.random.default_rng(50 + seed)
+    a, b = _soft(rng), _soft(rng)
+    want = 0.5 * (hybrid_oracle(a[:, ::-1], b) + hybrid_oracle(b[:, ::-1], a))
+    assert _pair_loss(a, b, True) == pytest.approx(want, rel=1e-10)
+
+
+def test_negative_pair_requires_two_channels():
+    tri = T.Tensor(np.full((1, 3, 2, 2), 1 / 3))
+    with pytest.raises(ValueError, match="C = 2"):
+        losses.pair_half_terms(tri.data, tri, [True])
 
 
 def test_pair_batch_loss_matches_per_pair_losses():
@@ -228,9 +229,10 @@ def test_pair_batch_loss_matches_per_pair_losses():
     total, per = _pair_batch_loss(a, b, cross, etas)
     want = []
     for i, neg in enumerate(cross):
-        ai, bi = T.Tensor(a.data[i:i + 1]), T.Tensor(b.data[i:i + 1])
-        fn = losses.negative_pair_loss if neg else losses.positive_pair_loss
-        want.append(fn(ai, bi).item())
+        ai, bi = a.data[i:i + 1], b.data[i:i + 1]
+        ta, tb = (ai[:, ::-1], bi[:, ::-1]) if neg else (ai, bi)
+        want.append(0.5 * (losses.hybrid_loss(T.Tensor(ta), T.Tensor(bi)).item()
+                           + losses.hybrid_loss(T.Tensor(tb), T.Tensor(ai)).item()))
     np.testing.assert_allclose(per, want, rtol=1e-12)
     assert total.item() == pytest.approx(sum(e * w for e, w in zip(etas, want)), rel=1e-12)
 
@@ -266,12 +268,3 @@ def test_loss_gradcheck_suite_passes():
     results = gc.run_suite(module="loss", seeds=range(20))
     failures = [(n, r) for n, r in results if not r["pass"]]
     assert not failures, failures[:3]
-
-
-def test_one_hot_target_channel_layout():
-    m = np.array([[[0, 1]]])
-    t = losses.one_hot_target(m)
-    np.testing.assert_array_equal(t.data[0, 1, 0], [0, 1])
-    np.testing.assert_array_equal(t.data[0, 0, 0], [1, 0])
-    t0 = losses.one_hot_target(m, marker_channel=0)
-    np.testing.assert_array_equal(t0.data[0, 0, 0], [0, 1])

@@ -39,6 +39,13 @@ def test_read_rejects_bad_files(tmp_path):
     wide.write_bytes(b"P5\n2 2\n65535\n\x00\x00\x00\x00\x00\x00\x00\x00")
     with pytest.raises(DataError):
         pgm.read_pgm(wide)
+    # the readers scale by 255, so any other maxval would be misread: a
+    # maxval-1 mask as all background, a maxval-15 byte 0xff as 1.0
+    for mv, raster in ((1, b"\x00\x01\x01\x00"), (15, b"\x00\x0f\xff\x07")):
+        low = tmp_path / f"maxval{mv}.pgm"
+        low.write_bytes(b"P5\n2 2\n%d\n" % mv + raster)
+        with pytest.raises(DataError, match=f"maxval {mv}"):
+            pgm.read_pgm(low)
     short = tmp_path / "short.pgm"
     short.write_bytes(b"P5\n4 4\n255\n\x00\x00")
     with pytest.raises(DataError):

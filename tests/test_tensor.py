@@ -284,7 +284,8 @@ def test_conv2d_float32_backward_matches_float64_on_unetpp_step():
     cfg = UnetPPConfig(levels=3, input_size=32, base_channels=8)
     rng = np.random.default_rng(51)
     x = rng.uniform(0, 1, (8, 1, 32, 32))
-    target = rng.uniform(0, 1, (8, 32, 32)) > 0.7
+    marker = (rng.uniform(0, 1, (8, 32, 32)) > 0.7).astype(np.float64)
+    target = np.stack([1 - marker, marker], axis=1)
 
     def step_grads(dtype, scatter=False):
         model = UnetPP(cfg, seed=5, dtype=dtype)
@@ -304,7 +305,7 @@ def test_conv2d_float32_backward_matches_float64_on_unetpp_step():
             if scatter:
                 mp.setattr(T, "conv2d", scatter_conv2d)
             prob = model.forward(T.Tensor(x.astype(np.float32).astype(dtype)))
-            T.backward(losses.hybrid_loss(losses.one_hot_target(target, dtype=dtype), prob))
+            T.backward(losses.hybrid_loss(T.Tensor(target, dtype=dtype), prob))
         return {name: t.grad for name, t in model.parameter_items()}
 
     g32, g64, g32_scatter = step_grads(np.float32), step_grads(np.float64), step_grads(np.float32, True)
@@ -672,14 +673,6 @@ def test_backward_requires_scalar_and_fresh_tape():
         T.backward(loss)
     with pytest.raises(ValueError):
         T.backward(T.Tensor(np.zeros(())))
-
-
-def test_detach_blocks_gradient_flow():
-    x = T.Tensor(np.array([3.0]), requires_grad=True)
-    y = x * 2.0
-    z = (y.detach() * x).sum()  # d/dx = 6 (detached factor is a constant)
-    T.backward(z)
-    np.testing.assert_allclose(x.grad, [6.0])
 
 
 def test_forward_is_bit_identical_across_runs():

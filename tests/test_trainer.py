@@ -72,7 +72,7 @@ def one_param(val=1.0, grad=0.0):
 def test_sgd_update():
     p = one_param(grad=0.5)
     opt = trainer.Optimizer(opt_config(optimizer="sgd", lr=0.1), p)
-    opt.step()
+    opt.step(opt.params, opt.t + 1)
     assert p["w"].data[0] == pytest.approx(0.95, abs=1e-7)
     assert opt.t == 1
 
@@ -80,7 +80,7 @@ def test_sgd_update():
 def test_adam_first_step_is_signed_lr():
     p = one_param(grad=0.5)
     opt = trainer.Optimizer(opt_config(), p)
-    opt.step()
+    opt.step(opt.params, opt.t + 1)
     # bias-corrected first step collapses to lr * g / (|g| + eps)
     assert p["w"].data[0] == pytest.approx(0.999, abs=1e-6)
 
@@ -90,7 +90,7 @@ def test_zero_gradient_is_a_no_op():
         p = one_param(0.625)
         before = p["w"].data.tobytes()
         opt = trainer.Optimizer(opt_config(optimizer=kind), p)
-        opt.step()
+        opt.step(opt.params, opt.t + 1)
         assert p["w"].data.tobytes() == before
 
 

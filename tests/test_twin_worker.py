@@ -101,7 +101,7 @@ def test_halves_back_propagated_apart_match_the_joint_loss():
         T.backward(total)
         grad_sq = sum(float(np.sum(t.grad.astype(np.float64) ** 2))
                       for t in ref.optimizer.params.values())
-        ref.optimizer.step()
+        ref.optimizer.step(ref.optimizer.params, ref.optimizer.t + 1)
 
         split = state(optimizer, siamese)
         twin_b = (TwinB if place == "worker" else trainer.LocalTwinB)(split)
