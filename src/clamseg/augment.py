@@ -139,9 +139,11 @@ def make_pairs(batch, seed, policy):
         raise DataError("empty batch")
     s = batch[0].image.shape[0]
     for b in batch:
-        _check_square(b.image)
+        if b.image.ndim != 2 or b.image.shape[0] != b.image.shape[1]:
+            raise DataError(f"image {b.name} is not square: shape {b.image.shape}")
         if b.image.shape[0] != s:
-            raise ValueError("batch images differ in size")
+            raise DataError(f"batch images differ in size: {b.name} is {b.image.shape[0]} px, "
+                            f"{batch[0].name} is {s} px")
     if s % policy.tile_size != 0:
         raise ValueError(f"tile size {policy.tile_size} does not divide image size {s}")
     n_tiles = (s // policy.tile_size) ** 2

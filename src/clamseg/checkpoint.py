@@ -15,6 +15,7 @@ files, with an older config block, are rejected.
 """
 
 import contextlib
+import math
 import os
 import struct
 
@@ -61,60 +62,49 @@ def _write_atomic(path, data):
         raise
 
 
-class _Reader:
-    def __init__(self, path, data):
-        self.path = path
-        self.data = data
-        self.pos = 0
-
-    def take(self, n, what):
-        if self.pos + n > len(self.data):
-            raise DataError(f"{self.path}: truncated checkpoint while reading {what}")
-        out = self.data[self.pos:self.pos + n]
-        self.pos += n
-        return out
-
-    def u32(self, what):
-        return struct.unpack("<I", self.take(4, what))[0]
-
-    def done(self):
-        return self.pos >= len(self.data)
-
-
 def load_checkpoint(path):
-    """Returns (config_text, {name: float32 array})."""
+    """Returns (config_text, {name: float32 array}); the arrays are read-only."""
     try:
         with open(path, "rb") as fh:
-            data = fh.read()
+            data = memoryview(fh.read())
     except OSError as e:
         raise DataError(f"cannot read checkpoint {path}: {e}") from None
-    rd = _Reader(path, data)
-    if rd.take(4, "magic") != MAGIC:
+    pos = 0
+
+    def take(n, what):
+        nonlocal pos
+        if pos + n > len(data):
+            raise DataError(f"{path}: truncated checkpoint while reading {what}")
+        pos += n
+        return data[pos - n:pos]
+
+    def u32(what):
+        return struct.unpack("<I", take(4, what))[0]
+
+    def utf8(what):
+        try:
+            return str(take(u32(f"{what} length"), what), "utf-8")
+        except UnicodeDecodeError:
+            raise DataError(f"{path}: {what} is not valid utf-8") from None
+
+    if take(4, "magic") != MAGIC:
         raise DataError(f"{path}: not a checkpoint file (bad magic)")
-    version = rd.u32("version")
+    version = u32("version")
     if version != VERSION:
         raise DataError(f"{path}: unsupported checkpoint version {version}")
-    clen = rd.u32("config length")
-    try:
-        config_text = rd.take(clen, "config").decode("utf-8")
-    except UnicodeDecodeError:
-        raise DataError(f"{path}: config block is not valid utf-8") from None
+    config_text = utf8("config block")
     tensors = {}
-    while not rd.done():
-        nlen = rd.u32("name length")
-        try:
-            name = rd.take(nlen, "name").decode("utf-8")
-        except UnicodeDecodeError:
-            raise DataError(f"{path}: tensor name is not valid utf-8") from None
+    while pos < len(data):
+        name = utf8("tensor name")
         if name in tensors:
             raise DataError(f"{path}: duplicate tensor {name!r}")
-        rank = rd.u32("rank")
+        rank = u32("rank")
         if rank > 8:
             raise DataError(f"{path}: implausible rank {rank} for {name!r}")
-        dims = struct.unpack(f"<{rank}I", rd.take(4 * rank, "dims"))
-        count = 1
-        for d in dims:
-            count *= d
-        raw = rd.take(4 * count, f"data of {name!r}")
-        tensors[name] = np.frombuffer(raw, dtype="<f4").reshape(dims).copy()
+        dims = struct.unpack(f"<{rank}I", take(4 * rank, "dims"))
+        raw = take(4 * math.prod(dims), f"data of {name!r}")
+        try:
+            tensors[name] = np.frombuffer(raw, dtype="<f4").reshape(dims)
+        except ValueError as e:  # a zero dim beside dims too large for numpy
+            raise DataError(f"{path}: bad dims {dims} for {name!r}: {e}") from None
     return config_text, tensors

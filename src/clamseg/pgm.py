@@ -1,34 +1,27 @@
 """Binary 8-bit PGM (P5) reading and writing.
 
-Header: magic ``P5``, whitespace-separated width, height, maxval (must be
-255 here, the only value the writer uses and the scale the readers assume),
-with ``#`` comments allowed between tokens; then one raster byte per pixel.  Grayscale values map to [0,1] by v/255; the reverse
+Header: magic ``P5`` at byte 0, then width, height and maxval (must be 255
+here, the only value the writer uses and the scale the readers assume), each
+a decimal of at most nine digits after one or more separators: a whitespace
+byte or a ``#`` comment through its end of line.  Exactly one whitespace
+byte follows maxval; every byte after it is raster, one per pixel, with no
+trailing bytes.  Grayscale values map to [0,1] by v/255; the reverse
 quantization is round-half-up, floor(v*255 + 0.5).  Masks are stored as
 0/255 and read back as value > 127.
 """
+
+import re
 
 import numpy as np
 
 from .errors import DataError
 
 
-def _next_token(data, pos):
-    n = len(data)
-    while pos < n:
-        ch = data[pos:pos + 1]
-        if ch == b"#":
-            while pos < n and data[pos:pos + 1] not in (b"\n", b"\r"):
-                pos += 1
-        elif ch.isspace():
-            pos += 1
-        else:
-            break
-    start = pos
-    while pos < n and not data[pos:pos + 1].isspace() and data[pos:pos + 1] != b"#":
-        pos += 1
-    if start == pos:
-        raise DataError("truncated PGM header")
-    return data[start:pos], pos
+# Each separator alternative starts with a different byte, so the match is
+# linear in the header's length, and a digit inside a comment is never a
+# field.  Nine digits bound a field well below int()'s digit limit.
+_SEP = rb"(?:\s|#[^\r\n]*[\r\n])+"
+_HEADER = re.compile(rb"P5" + (_SEP + rb"(\d{1,9})") * 3 + rb"\s")
 
 
 def read_pgm(path):
@@ -38,24 +31,15 @@ def read_pgm(path):
             data = fh.read()
     except OSError as e:
         raise DataError(f"cannot read image {path}: {e}") from None
-    try:
-        magic, pos = _next_token(data, 0)
-        if magic != b"P5":
-            raise DataError(f"{path}: not a P5 PGM (magic {magic!r})")
-        width, pos = _next_token(data, pos)
-        height, pos = _next_token(data, pos)
-        maxval, pos = _next_token(data, pos)
-        w, h, mv = int(width), int(height), int(maxval)
-    except ValueError as e:
-        raise DataError(f"{path}: bad PGM header: {e}") from None
-    except DataError as e:
-        raise DataError(f"{path}: {e}") from None
+    m = _HEADER.match(data)
+    if m is None:
+        raise DataError(f"{path}: not a P5 PGM or bad header")
+    w, h, mv = (int(g) for g in m.groups())
     if w < 1 or h < 1:
         raise DataError(f"{path}: bad dimensions {w}x{h}")
     if mv != 255:
         raise DataError(f"{path}: unsupported maxval {mv} (255 only)")
-    pos += 1  # single whitespace byte after maxval
-    raster = data[pos:pos + w * h]
+    raster = data[m.end():]
     if len(raster) != w * h:
         raise DataError(f"{path}: raster has {len(raster)} bytes, expected {w * h}")
     return np.frombuffer(raster, dtype=np.uint8).reshape(h, w)

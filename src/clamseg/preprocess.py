@@ -76,13 +76,14 @@ def transform_mask(mask, geom, threshold=0.5):
 
 _GEOM_KEYS = ("r0", "c0", "r1", "c1", "top", "left", "side", "out_size",
               "src_h", "src_w")
+_GEOM_HEADER = "name\t" + "\t".join(_GEOM_KEYS)
 
 
 def write_geometry(out_dir, source_dir, geoms):
     path = os.path.join(out_dir, "geometry.tsv")
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"# source\t{source_dir}\n")
-        fh.write("name\t" + "\t".join(_GEOM_KEYS) + "\n")
+        fh.write(_GEOM_HEADER + "\n")
         for name in sorted(geoms):
             g = geoms[name]
             fh.write(name + "\t" + "\t".join(str(g[k]) for k in _GEOM_KEYS) + "\n")
@@ -98,19 +99,25 @@ def read_geometry(out_dir):
     try:
         with open(path, "r", encoding="ascii") as fh:
             lines = fh.read().splitlines()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise DataError(f"cannot read {path}: {e}") from None
     if not lines or not lines[0].startswith("# source\t"):
         raise DataError(f"{path}: missing source header")
+    if lines[1:2] != [_GEOM_HEADER]:
+        raise DataError(f"{path}: line 2 is not the column header {_GEOM_HEADER!r}")
     source_dir = os.path.abspath(os.path.join(out_dir, lines[0].split("\t", 1)[1]))
     geoms = {}
-    for line in lines[2:]:
+    for lineno, line in enumerate(lines[2:], start=3):
         if not line.strip():
             continue
-        parts = line.split("\t")
-        if len(parts) != 1 + len(_GEOM_KEYS):
-            raise DataError(f"{path}: bad geometry row {line!r}")
-        geoms[parts[0]] = {k: int(v) for k, v in zip(_GEOM_KEYS, parts[1:])}
+        name, *fields = line.split("\t")
+        try:
+            values = [int(v) for v in fields]
+        except ValueError:
+            values = []
+        if len(values) != len(_GEOM_KEYS):
+            raise DataError(f"{path}:{lineno}: bad geometry row {line!r}")
+        geoms[name] = dict(zip(_GEOM_KEYS, values))
     return source_dir, geoms
 
 

@@ -109,13 +109,12 @@ def _new_state(model_a, model_b, opt_config, policy, seed):
     return state
 
 
-def init_state(model_config, opt_config, policy, seed, siamese=False,
-               truncated=False):
+def init_state(model_config, opt_config, policy, seed, siamese=False):
     if model_config.input_size != policy.tile_size:
         raise ValueError(f"model input size {model_config.input_size} must equal "
                          f"the pair tile size {policy.tile_size}")
     init_seed = derive_key(seed, "init")
-    model_a = UnetPP(model_config, seed=init_seed, truncated=truncated)
+    model_a = UnetPP(model_config, seed=init_seed)
     # the twins start from the same draws; a copy skips drawing them twice
     model_b = model_a if siamese else copy.deepcopy(model_a)
     return _new_state(model_a, model_b, opt_config, policy, seed)

@@ -109,6 +109,61 @@ def test_truncated(tmp_path):
         ckpt.load_checkpoint(str(bad))
 
 
+def test_every_truncation_raises_or_drops_whole_records(tmp_path):
+    # the format has no record count, so a cut at a record boundary reads as
+    # the leading records; load_state then reports the missing tensors
+    good = tmp_path / "good.clam"
+    ckpt.save_checkpoint(str(good), "k=v\n", sample_tensors())
+    raw = good.read_bytes()
+    names = sorted(sample_tensors())
+    bad = tmp_path / "bad.clam"
+    kept = []
+    for n in range(len(raw)):
+        bad.write_bytes(raw[:n])
+        try:
+            text, tensors = ckpt.load_checkpoint(str(bad))
+        except DataError as e:
+            assert "truncated checkpoint while reading" in str(e)
+            continue
+        assert text == "k=v\n"
+        kept.append(list(tensors))
+    assert kept == [names[:i] for i in range(len(names))]
+
+
+def _record(name, dims, data=b""):
+    return (struct.pack("<I", len(name)) + name + struct.pack("<I", len(dims))
+            + struct.pack(f"<{len(dims)}I", *dims) + data)
+
+
+def _file(config, *records):
+    return b"CLAM" + struct.pack("<II", 2, len(config)) + config + b"".join(records)
+
+
+@pytest.mark.parametrize("raw, message", [
+    (_file(b"", _record(b"w", (1,), bytes(4)), _record(b"w", (1,), bytes(4))),
+     "duplicate tensor 'w'"),
+    (_file(b"", _record(b"w", (1,) * 9, bytes(4))), "implausible rank 9 for 'w'"),
+    (_file(b"k=\xff\n"), "config block is not valid utf-8"),
+    # 2**31 * 2**31 * 4 wraps to 0 in int64
+    (_file(b"", _record(b"w", (2**31, 2**31, 4))),
+     "truncated checkpoint while reading data of 'w'"),
+    (_file(b"", _record(b"w", (0, 2**32 - 1, 2**32 - 1, 2**32 - 1))), "bad dims"),
+], ids=["duplicate-name", "rank-9", "config-not-utf8", "dims-overflow-int64",
+        "zero-size-huge-dims"])
+def test_malformed_records_are_data_errors(tmp_path, raw, message):
+    p = tmp_path / "c.clam"
+    p.write_bytes(raw)
+    with pytest.raises(DataError, match=message):
+        ckpt.load_checkpoint(str(p))
+
+
+def test_loaded_arrays_are_read_only(tmp_path):
+    p = str(tmp_path / "c.clam")
+    ckpt.save_checkpoint(p, "", sample_tensors())
+    for arr in ckpt.load_checkpoint(p)[1].values():
+        assert not arr.flags.writeable
+
+
 def test_missing_file():
     with pytest.raises(DataError, match="cannot read"):
         ckpt.load_checkpoint("/nonexistent/c.clam")

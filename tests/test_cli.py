@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import os
+import shutil
 import struct
 
 import numpy as np
@@ -167,6 +168,22 @@ def test_eval_too_few_trials_exits_1_before_any_inference(ws, capsys, monkeypatc
                      "--trials", "50"]) == 1
     assert "at least 100 trials" in capsys.readouterr().err
     assert calls == []
+
+
+def test_eval_corrupt_geometry_sidecar_exits_2(ws, tmp_path, capsys):
+    pre = str(tmp_path / "pre")
+    assert cli.main(["preprocess", "--in", ws["data"], "--out", pre, "--size", "64"]) == 0
+    sidecar = os.path.join(pre, "geometry.tsv")
+    with open(sidecar) as fh:
+        lines = fh.read().splitlines(keepends=True)
+    name, _, rest = lines[2].split("\t", 2)
+    lines[2] = f"{name}\tNaN\t{rest}"
+    with open(sidecar, "w") as fh:
+        fh.write("".join(lines))
+    capsys.readouterr()
+    assert cli.main(["eval", "--ckpt", ws["ckpt"], "--data", pre]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and f"{sidecar}:3: bad geometry row" in err
 
 
 def test_eval_missing_checkpoint_exits_2(ws, capsys):
@@ -396,6 +413,25 @@ def test_dump_pairs_layout_and_determinism(ws, tmp_path, capsys):
     assert cli.main(["dump-pairs", "--data", ws["data"], "--config", ws["cfg"],
                      "--out", out2, "--seed", "9"]) == 0
     assert _tree(out1) == _tree(out2)
+
+
+@pytest.mark.parametrize("command", ["train", "dump-pairs"])
+@pytest.mark.parametrize("shape, message", [((32, 32), "differ in size"),
+                                            ((64, 48), "is not square")],
+                         ids=["smaller", "not-square"])
+def test_train_image_of_another_size_exits_2_naming_it(ws, tmp_path, capsys,
+                                                      command, shape, message):
+    data = str(tmp_path / "data")
+    shutil.copytree(ws["data"], data)
+    odd = manifest.read_manifest(manifest.manifest_path(data, "train"))[1].image
+    pgm.write_unit(os.path.join(data, odd), np.zeros(shape, dtype=np.float32))
+    out = str(tmp_path / "out")
+    extra = ["--steps", "1"] if command == "train" else []
+    assert cli.main([command, "--data", data, "--config", ws["cfg"], "--out", out,
+                     "--seed", "0"] + extra) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and message in err
+    assert os.path.basename(odd) in err
 
 
 def test_gradcheck_subset_passes(capsys):

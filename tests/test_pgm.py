@@ -1,5 +1,7 @@
 """P5 PGM round trips, header parsing edge cases, quantization rules."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,41 @@ def test_read_rejects_bad_files(tmp_path):
     trunc.write_bytes(b"P5\n4")
     with pytest.raises(DataError):
         pgm.read_pgm(trunc)
+
+
+@pytest.mark.parametrize("raw", [
+    b"P5\n2 2\n255# note\n" + bytes([10, 20, 30, 40]),
+    b"P5\n2 2\n255\n" + bytes(6),
+    b"P5\n2 2\n255\r\n" + bytes(4),
+    b"\nP5\n2 2\n255\n" + bytes(4),
+    b"P5\n#1 2 255\n" + bytes(2),
+    b"P5\n" + b"1" * 5000 + b" 1\n255\n" + bytes(4),
+], ids=["comment-after-maxval", "trailing-raster-bytes", "crlf-after-maxval",
+        "byte-before-magic", "digits-in-comment", "5000-digit-width"])
+def test_read_rejects_malformed_header_or_raster_length(tmp_path, raw):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(raw)
+    with pytest.raises(DataError):
+        pgm.read_pgm(path)
+
+
+def test_every_truncation_is_a_data_error(tmp_path):
+    raw = b"P5 # magic\n# a comment line\n 3\t2 # dims\n255\n" + bytes(range(6))
+    path = tmp_path / "t.pgm"
+    for n in range(len(raw)):
+        path.write_bytes(raw[:n])
+        with pytest.raises(DataError):
+            pgm.read_pgm(path)
+
+
+@pytest.mark.parametrize("filler", [b" ", b"#c\n"], ids=["spaces", "comment-lines"])
+def test_long_separator_runs_are_rejected_in_linear_time(tmp_path, filler):
+    path = tmp_path / "long.pgm"
+    path.write_bytes(b"P5" + filler * (200_000 // len(filler)) + b"x")
+    start = time.perf_counter()
+    with pytest.raises(DataError):
+        pgm.read_pgm(path)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_missing_file_is_a_data_error(tmp_path):

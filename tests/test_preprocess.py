@@ -179,6 +179,29 @@ def test_geometry_sidecar_does_not_depend_on_the_parent_directory(tmp_path):
     assert source_dir == other and len(geoms) == 6
 
 
+def _good_sidecar(out_dir):
+    geom = dict(zip(preprocess._GEOM_KEYS, range(10)))
+    preprocess.write_geometry(str(out_dir), "src", {"a.pgm": geom, "b.pgm": geom})
+    return (out_dir / "geometry.tsv").read_bytes()
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda raw: raw.replace(b"\t7\t", b"\tNaN\t", 1), ":3: bad geometry row 'a.pgm"),
+    (lambda raw: raw.replace(b"\t9\n", b"\n", 1), ":3: bad geometry row 'a.pgm"),
+    (lambda raw: raw[:-1] + b"\t9\n", ":4: bad geometry row 'b.pgm"),
+    (lambda raw: b"\n".join(ln for ln in raw.split(b"\n") if not ln.startswith(b"name")),
+     "line 2 is not the column header"),
+    (lambda raw: raw.replace(b"b.pgm", b"\xe9.pgm"), "cannot read"),
+], ids=["nan", "short-row", "long-row", "no-column-header", "not-ascii"])
+def test_corrupt_geometry_sidecar_is_a_data_error(tmp_path, edit, message):
+    raw = _good_sidecar(tmp_path)
+    assert preprocess.read_geometry(str(tmp_path))[1]["b.pgm"]["src_w"] == 9
+    (tmp_path / "geometry.tsv").write_bytes(edit(raw))
+    with pytest.raises(DataError, match=message) as e:
+        preprocess.read_geometry(str(tmp_path))
+    assert "geometry.tsv" in str(e.value)
+
+
 def test_preprocess_dataset_threshold_mode(tmp_path):
     src = make_dataset(tmp_path)
     dst = str(tmp_path / "pre")

@@ -423,6 +423,17 @@ def test_load_state_rejects_bad_names_and_shapes(tmp_path):
         assert what in str(e.value)
 
 
+def test_every_truncated_checkpoint_is_a_data_error(tmp_path):
+    src = tmp_path / "s.clam"
+    trainer.save_state(tiny_state(siamese=True), str(src))
+    raw = src.read_bytes()
+    bad = tmp_path / "bad.clam"
+    for n in range(len(raw)):
+        bad.write_bytes(raw[:n])
+        with pytest.raises(DataError):
+            trainer.load_state(str(bad))
+
+
 @pytest.mark.parametrize("kind, siamese, stray", [
     ("sgd", True, "model_b/node_0_0.conv1.weight"),
     ("sgd", False, "opt/m/a/node_0_0.conv1.weight"),
@@ -558,14 +569,13 @@ def test_mismatched_tile_and_input_size_rejected():
                            tiny_policy(tile_size=16), seed=1)
 
 
-@pytest.mark.parametrize("truncated", [False, True])
-def test_twins_start_equal_but_unshared(truncated):
+def test_twins_start_equal_but_unshared():
     state = trainer.init_state(tiny_config(), opt_config(optimizer="sgd", lr=0.05),
-                               tiny_policy(), 5, truncated=truncated)
-    drawn = UnetPP(tiny_config(), seed=derive_key(5, "init"), truncated=truncated)
+                               tiny_policy(), 5)
+    drawn = UnetPP(tiny_config(), seed=derive_key(5, "init"))
     assert state.model_a is not state.model_b
     for model in (state.model_a, state.model_b):
-        assert model.truncated is truncated
+        assert model.truncated is False
         assert params_bytes(model) == params_bytes(drawn)
     for (name, a), (_, b) in zip(state.model_a.parameter_items(), state.model_b.parameter_items()):
         assert not np.shares_memory(a.data, b.data), name
