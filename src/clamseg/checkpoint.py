@@ -9,19 +9,18 @@ Layout (all integers little-endian):
 The config text is the run's `key = value` settings (written and checked by
 ``trainer``).  The sorted record order and the canonical config text make the
 file a pure function of its contents, so identical states produce identical
-bytes.  A save writes a temp file beside the target and renames it over the
-target, so an interrupted save keeps the previous checkpoint.  Version 1
-files, with an older config block, are rejected.
+bytes.  A save goes through ``files.write_atomic``, so an interrupted save
+keeps the previous checkpoint.  Version 1 files, with an older config block,
+are rejected.
 """
 
-import contextlib
 import math
-import os
 import struct
 
 import numpy as np
 
 from .errors import DataError
+from .files import write_atomic
 
 MAGIC = b"CLAM"
 VERSION = 2
@@ -42,24 +41,7 @@ def save_checkpoint(path, config_text, tensors):
         blob += struct.pack("<I", arr.ndim)
         blob += struct.pack(f"<{arr.ndim}I", *arr.shape)
         blob += arr.tobytes(order="C")
-    _write_atomic(path, blob)
-
-
-def _write_atomic(path, data):
-    """Replaces ``path`` by ``data`` in one step, via a synced temp file beside
-    it.  A kill at any point leaves the old file or the new one; an error
-    also removes the temp file."""
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(data)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(tmp)
-        raise
+    write_atomic(path, blob)
 
 
 def load_checkpoint(path):

@@ -11,6 +11,7 @@ import sys
 
 from . import augment, config, gradcheck, metrics, pgm, phantoms, preprocess, trainer
 from .errors import DataError, NonFiniteLossError, NumericError, UsageError
+from .files import write_atomic
 
 
 def build_parser():
@@ -190,17 +191,14 @@ def _cmd_dump_pairs(args):
     batch = augment.load_batch(args.data, "train")
     pairs = augment.make_pairs(batch, args.seed, policy)
     os.makedirs(args.out, exist_ok=True)
-    lines = []
+    lines = ["index\tkind\tsource_a\tsource_b\ttile\teta\tdraws"]
     for i, p in enumerate(pairs):
         stem = f"pair_{i:03d}_{p.kind}"
         pgm.write_unit(os.path.join(args.out, stem + "_a.pgm"), p.slice_a)
         pgm.write_unit(os.path.join(args.out, stem + "_b.pgm"), p.slice_b)
         lines.append(f"{i}\t{p.kind}\t{p.source_a}\t{p.source_b}"
                      f"\t{p.coords[0]},{p.coords[1]}\t{p.eta:.6g}\t{_draws_text(p.draws)}")
-    with open(os.path.join(args.out, "pairs.tsv"), "w", encoding="ascii") as fh:
-        fh.write("index\tkind\tsource_a\tsource_b\ttile\teta\tdraws\n")
-        for line in lines:
-            fh.write(line + "\n")
+    write_atomic(os.path.join(args.out, "pairs.tsv"), "".join(ln + "\n" for ln in lines))
     print(f"wrote {len(pairs)} pairs to {args.out}")
     return 0
 

@@ -13,7 +13,8 @@ import math
 from dataclasses import dataclass, fields
 
 from .augment import PairPolicy
-from .errors import UsageError
+from .errors import DataError, UsageError
+from .files import read_text
 from .unetpp import UnetPPConfig
 
 
@@ -129,10 +130,9 @@ def parse_config(text, name="config"):
 
 def load_config(path):
     try:
-        with open(path, "r", encoding="ascii") as fh:
-            text = fh.read()
-    except OSError as e:
-        raise UsageError(f"cannot read config {path}: {e}") from None
+        text = read_text(path, "config")
+    except DataError as e:
+        raise UsageError(str(e)) from None
     return parse_config(text, name=path)
 
 

@@ -11,6 +11,7 @@ import os
 from dataclasses import dataclass
 
 from .errors import DataError
+from .files import read_text, write_atomic
 
 SPLITS = ("train", "val", "test")
 LABELS = ("pos", "neg")
@@ -59,12 +60,7 @@ def parse_manifest_text(text, name="manifest"):
 
 def read_manifest(path):
     """Load records and verify that the files they reference exist."""
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            text = fh.read()
-    except OSError as e:
-        raise DataError(f"cannot read manifest {path}: {e}") from None
-    records = parse_manifest_text(text, name=os.path.basename(path))
+    records = parse_manifest_text(read_text(path, "manifest"), name=os.path.basename(path))
     base = os.path.dirname(os.path.abspath(path))
     missing = []
     for rec in records:
@@ -88,6 +84,4 @@ def format_record(rec):
 
 
 def write_manifest(path, records):
-    with open(path, "w", encoding="ascii") as fh:
-        for rec in records:
-            fh.write(format_record(rec) + "\n")
+    write_atomic(path, "".join(format_record(rec) + "\n" for rec in records))

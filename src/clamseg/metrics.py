@@ -16,6 +16,7 @@ import numpy as np
 
 from . import pgm, preprocess, trainer
 from .errors import DataError
+from .files import write_atomic
 from .manifest import manifest_path, read_manifest
 from .seeding import derive_rng
 
@@ -149,32 +150,26 @@ def evaluate(ckpt_path, data_dir, split="test", threshold=0.5, depth=None,
 
 
 def _write_reports(out_prefix, report):
-    with open(out_prefix + ".txt", "w", encoding="ascii") as fh:
-        fh.write(f"evaluation of {report['checkpoint']} on split "
-                 f"{report['split']} (depth {report['depth']}, "
-                 f"threshold {report['threshold']})\n")
-        fh.write(f"{'image':<20}{'label':<8}{'dice':>10}{'iou':>10}\n")
-        for name, label, d, i in report["per_image"]:
-            fh.write(f"{name:<20}{label:<8}{_fmt(d):>10}{_fmt(i):>10}\n")
-        fh.write(f"mean dice {_fmt(report['mean_dice'])} "
-                 f"(std {_fmt(report['std_dice'])})\n")
-        fh.write(f"mean iou  {_fmt(report['mean_iou'])} "
-                 f"(std {_fmt(report['std_iou'])})\n")
-        fh.write(f"random baseline dice {_fmt(report['baseline_dice'])} at "
-                 f"matched positive rate {_fmt(report['baseline_rate'])} "
-                 f"({report['baseline_trials']} trials)\n")
+    rows = [f"evaluation of {report['checkpoint']} on split "
+            f"{report['split']} (depth {report['depth']}, "
+            f"threshold {report['threshold']})",
+            f"{'image':<20}{'label':<8}{'dice':>10}{'iou':>10}"]
+    rows += [f"{name:<20}{label:<8}{_fmt(d):>10}{_fmt(i):>10}"
+             for name, label, d, i in report["per_image"]]
+    rows += [f"mean dice {_fmt(report['mean_dice'])} (std {_fmt(report['std_dice'])})",
+             f"mean iou  {_fmt(report['mean_iou'])} (std {_fmt(report['std_iou'])})",
+             f"random baseline dice {_fmt(report['baseline_dice'])} at "
+             f"matched positive rate {_fmt(report['baseline_rate'])} "
+             f"({report['baseline_trials']} trials)"]
+    write_atomic(out_prefix + ".txt", "".join(r + "\n" for r in rows))
 
-    with open(out_prefix + ".kv", "w", encoding="ascii") as fh:
-        fh.write(f"checkpoint={report['checkpoint']}\n")
-        fh.write(f"split={report['split']}\n")
-        fh.write(f"threshold={_fmt(report['threshold'])}\n")
-        fh.write(f"depth={report['depth']}\n")
-        fh.write(f"n_images={report['n_images']}\n")
-        for key in ("mean_dice", "std_dice", "mean_iou", "std_iou",
-                    "baseline_rate", "baseline_dice"):
-            fh.write(f"{key}={_fmt(report[key])}\n")
-        fh.write(f"baseline_trials={report['baseline_trials']}\n")
-        for name, label, d, i in report["per_image"]:
-            fh.write(f"image.{name}.label={label}\n")
-            fh.write(f"image.{name}.dice={_fmt(d)}\n")
-            fh.write(f"image.{name}.iou={_fmt(i)}\n")
+    rows = [f"checkpoint={report['checkpoint']}", f"split={report['split']}",
+            f"threshold={_fmt(report['threshold'])}", f"depth={report['depth']}",
+            f"n_images={report['n_images']}"]
+    rows += [f"{key}={_fmt(report[key])}" for key in
+             ("mean_dice", "std_dice", "mean_iou", "std_iou", "baseline_rate", "baseline_dice")]
+    rows.append(f"baseline_trials={report['baseline_trials']}")
+    for name, label, d, i in report["per_image"]:
+        rows += [f"image.{name}.label={label}", f"image.{name}.dice={_fmt(d)}",
+                 f"image.{name}.iou={_fmt(i)}"]
+    write_atomic(out_prefix + ".kv", "".join(r + "\n" for r in rows))

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import pgm
+from .files import write_atomic
 from .imops import distance_transform_edt, round_half_up
 from .manifest import Record, manifest_path, write_manifest
 from .seeding import derive_rng
@@ -152,7 +153,7 @@ def generate_phantoms(out_dir, count, positive_fraction, seed, params=None,
     for d in (img_dir, organ_dir, eval_dir):
         os.makedirs(d, exist_ok=True)
 
-    log_rows = []
+    log_rows = ["name\tlabel\tcy\tcx\ta\tb\ttheta\tbase\tlesions"]
     for i in range(count):
         rng = derive_rng(seed, "phantom", f"{i:04d}")
         img, lesions, organ, info = make_phantom(rng, params, labels[i] == "pos")
@@ -167,10 +168,8 @@ def generate_phantoms(out_dir, count, positive_fraction, seed, params=None,
             f"{info['b']:.3f}", f"{info['theta']:.4f}", f"{info['base']:.4f}", les,
         ]))
 
-    with open(os.path.join(eval_dir, "gen_params.tsv"), "w", encoding="ascii") as fh:
-        fh.write("name\tlabel\tcy\tcx\ta\tb\ttheta\tbase\tlesions\n")
-        for row in log_rows:
-            fh.write(row + "\n")
+    write_atomic(os.path.join(eval_dir, "gen_params.tsv"),
+                 "".join(row + "\n" for row in log_rows))
 
     splits = _split_indices(labels, seed, split_fracs)
     for split, idxs in splits.items():

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import pgm
 from .errors import DataError
+from .files import read_text, write_atomic
 from .imops import bilinear_resize, close_3x3, largest_component, otsu_threshold, pad_center
 from .manifest import SPLITS, Record, manifest_path, read_manifest, write_manifest
 
@@ -80,13 +81,10 @@ _GEOM_HEADER = "name\t" + "\t".join(_GEOM_KEYS)
 
 
 def write_geometry(out_dir, source_dir, geoms):
-    path = os.path.join(out_dir, "geometry.tsv")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"# source\t{source_dir}\n")
-        fh.write(_GEOM_HEADER + "\n")
-        for name in sorted(geoms):
-            g = geoms[name]
-            fh.write(name + "\t" + "\t".join(str(g[k]) for k in _GEOM_KEYS) + "\n")
+    rows = [f"# source\t{source_dir}", _GEOM_HEADER]
+    rows += [name + "\t" + "\t".join(str(geoms[name][k]) for k in _GEOM_KEYS)
+             for name in sorted(geoms)]
+    write_atomic(os.path.join(out_dir, "geometry.tsv"), "".join(r + "\n" for r in rows))
 
 
 def read_geometry(out_dir):
@@ -96,11 +94,7 @@ def read_geometry(out_dir):
     stays itself.
     """
     path = os.path.join(out_dir, "geometry.tsv")
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            lines = fh.read().splitlines()
-    except (OSError, UnicodeDecodeError) as e:
-        raise DataError(f"cannot read {path}: {e}") from None
+    lines = read_text(path, "geometry sidecar").splitlines()
     if not lines or not lines[0].startswith("# source\t"):
         raise DataError(f"{path}: missing source header")
     if lines[1:2] != [_GEOM_HEADER]:

@@ -36,6 +36,7 @@ from . import augment, checkpoint, config, losses
 from . import tensor as T
 from .cores import Child, split_in_two, two_cpus
 from .errors import DataError, NonFiniteLossError, NumericError, UsageError
+from .files import read_text, write_atomic
 from .seeding import derive_key
 from .unetpp import UnetPP
 
@@ -487,14 +488,19 @@ def format_metrics_line(m):
 
 
 def _carried_log_lines(path, step):
-    """The lines of metrics log ``path`` up to ``step``; none if it is absent (after ``prune``)."""
+    """The first ``step`` lines of metrics log ``path``, which must be steps
+    1..``step`` in order; none if the log is absent (after ``prune``)."""
     if not os.path.exists(path):
         return []
-    with open(path, encoding="ascii") as fh:
-        try:
-            return [ln for ln in fh if int(ln.split("\t", 1)[0]) <= step]
-        except ValueError:
-            raise DataError(f"{path}: not a metrics log") from None
+    lines = read_text(path, "metrics log").splitlines(keepends=True)
+    try:
+        steps = [int(ln.split("\t", 1)[0]) for ln in lines]
+    except ValueError:
+        raise DataError(f"{path}: not a metrics log") from None
+    for n in range(1, step + 1):
+        if steps[n - 1:n] != [n] or not lines[n - 1].endswith("\n"):
+            raise DataError(f"{path}: step {n} is missing from its first {step} lines")
+    return lines[:step]
 
 
 def run_training(data_dir, model_config, opt_config, policy, steps, seed,
@@ -520,13 +526,13 @@ def run_training(data_dir, model_config, opt_config, policy, steps, seed,
     batch = augment.load_batch(data_dir, "train")
     metrics = []
     held_loss, held = math.inf, 0
+    # one rename puts the carried steps in place: no kill leaves the log without them
+    write_atomic(out_path + ".log", "".join(carried))
     # a siamese state has one twin, and a process allowed one CPU has no
     # core to spare: both run twin b's half in process
     twin_b = LocalTwinB(state) if state.siamese or not two_cpus() else TwinB(state)
     try:
-        with open(out_path + ".log", "w", encoding="ascii") as log:
-            log.writelines(carried)
-            log.flush()
+        with open(out_path + ".log", "a", encoding="ascii") as log:
             for i in range(state.step, steps):
                 step_seed = derive_key(state.seed, "step", f"{i:06d}")
                 pairs = augment.make_pairs(batch, step_seed, state.policy)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from clamseg import checkpoint as ckpt
+from clamseg import files
 from clamseg.errors import DataError
 
 
@@ -188,7 +189,7 @@ def test_failed_save_keeps_the_old_checkpoint_and_no_temp_file(tmp_path, monkeyp
     p = tmp_path / "c.clam"
     ckpt.save_checkpoint(str(p), "k=old\n", sample_tensors())
     old = p.read_bytes()
-    monkeypatch.setattr(ckpt.os, target, _fail)
+    monkeypatch.setattr(files.os, target, _fail)
     with pytest.raises(OSError, match="disk full"):
         ckpt.save_checkpoint(str(p), "k=new\n", {"x": np.ones(5, dtype=np.float32)})
     monkeypatch.undo()

@@ -123,6 +123,27 @@ def test_train_negative_checkpoint_every_exits_1_before_reading_data(tmp_path, c
     assert not os.path.exists(ckpt)
 
 
+def test_non_ascii_config_exits_1_naming_it(ws, tmp_path, capsys):
+    cfg = tmp_path / "odd.cfg"
+    cfg.write_bytes(TINY_CFG.encode("ascii") + b"# \xe9\n")
+    assert cli.main(["dump-pairs", "--data", ws["data"], "--config", str(cfg),
+                     "--out", str(tmp_path / "out"), "--seed", "0"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read config ") and str(cfg) in err
+
+
+def test_non_ascii_manifest_exits_2_naming_it(ws, tmp_path, capsys):
+    data = str(tmp_path / "data")
+    shutil.copytree(ws["data"], data)
+    path = manifest.manifest_path(data, "train")
+    with open(path, "wb") as fh:
+        fh.write(b"images/\xe9.pgm\tpos\n")
+    assert cli.main(["dump-pairs", "--data", data, "--config", ws["cfg"],
+                     "--out", str(tmp_path / "out"), "--seed", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: cannot read manifest ") and path in err
+
+
 def test_train_bad_config_cites_line(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("levels = 2\nwat = 1\n")

@@ -68,6 +68,13 @@ def test_load_config_missing_file(tmp_path):
         config.load_config(str(tmp_path / "nope.cfg"))
 
 
+def test_load_config_non_ascii_is_a_usage_error_naming_it(tmp_path):
+    p = tmp_path / "run.cfg"
+    p.write_bytes(b"levels = 3  # \xe9\n")
+    with pytest.raises(UsageError, match="cannot read config .*run.cfg"):
+        config.load_config(str(p))
+
+
 def test_load_config_reads_file(tmp_path):
     p = tmp_path / "run.cfg"
     p.write_text("tile_size = 32\n")

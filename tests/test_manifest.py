@@ -66,3 +66,10 @@ def test_eta_formatting_roundtrips(tmp_path):
     M.write_manifest(str(p), [M.Record("a.pgm", "pos", "m.pgm", 0.123456)])
     rec = M.parse_manifest_text(p.read_text())[0]
     assert abs(rec.eta - 0.123456) < 1e-9
+
+
+def test_non_ascii_manifest_is_a_data_error_naming_it(tmp_path):
+    p = tmp_path / "manifest_train.tsv"
+    p.write_bytes(b"images/\xe9.pgm\tpos\n")
+    with pytest.raises(DataError, match="cannot read manifest .*manifest_train.tsv"):
+        M.read_manifest(str(p))

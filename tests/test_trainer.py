@@ -538,6 +538,19 @@ def test_resume_from_a_corrupt_log_is_a_data_error(tmp_path):
                                     resume_from=out))
 
 
+@pytest.mark.parametrize("text, missing", [
+    ("1\ta\n3\tc\n", 2),
+    ("1\ta\n2\tb\n", 3),
+    ("1\ta\n1\ta\n2\tb\n3\tc\n", 2),
+    ("1\ta\n2\tb\n3\tc", 3),
+], ids=["gap", "short", "duplicate", "cut"])
+def test_carried_log_must_hold_steps_1_to_k_in_order(tmp_path, text, missing):
+    log = tmp_path / "r.clam.log"
+    log.write_text(text)
+    with pytest.raises(DataError, match=f"step {missing} is missing"):
+        trainer._carried_log_lines(str(log), 3)
+
+
 def test_resume_below_checkpoint_step_rejected(tmp_path):
     data = make_dataset(tmp_path)
     out = str(tmp_path / "r.clam")
