@@ -488,8 +488,9 @@ def format_metrics_line(m):
 
 
 def _carried_log_lines(path, step):
-    """The first ``step`` lines of metrics log ``path``, which must be steps
-    1..``step`` in order; none if the log is absent (after ``prune``)."""
+    """The lines of metrics log ``path`` up to ``step``: steps j..``step`` in
+    order from its first step j, which is after 1 if the run began at a
+    pruned checkpoint; none if the log is absent, empty or starts at ``step`` + 1."""
     if not os.path.exists(path):
         return []
     lines = read_text(path, "metrics log").splitlines(keepends=True)
@@ -497,10 +498,13 @@ def _carried_log_lines(path, step):
         steps = [int(ln.split("\t", 1)[0]) for ln in lines]
     except ValueError:
         raise DataError(f"{path}: not a metrics log") from None
-    for n in range(1, step + 1):
-        if steps[n - 1:n] != [n] or not lines[n - 1].endswith("\n"):
-            raise DataError(f"{path}: step {n} is missing from its first {step} lines")
-    return lines[:step]
+    first = steps[0] if steps else step + 1
+    if not 1 <= first <= step + 1:
+        raise DataError(f"{path}: starts at step {first}, not in 1..{step + 1}")
+    for i, n in enumerate(range(first, step + 1)):
+        if steps[i:i + 1] != [n] or not lines[i].endswith("\n"):
+            raise DataError(f"{path}: step {n} is missing from its steps {first}..{step}")
+    return lines[:step + 1 - first]
 
 
 def run_training(data_dir, model_config, opt_config, policy, steps, seed,

@@ -158,15 +158,16 @@ def _train(data, out, **kw):
     return lambda: trainer.run_training(**args)
 
 
-def _kill_loop_over_training(data, run_dir, start, run):
+def _kill_loop_over_training(data, run_dir, start, run, want=None, steps=4):
     """For every i: set the run directory up with ``start``, kill ``run`` at
-    operation i, resume once in place (or rerun fresh without a checkpoint),
-    and return the kill points whose checkpoint or log differ from an
-    uninterrupted run's."""
+    operation i, resume once in place to ``steps`` (or rerun fresh without a
+    checkpoint), and return the kill points whose checkpoint or log differ from ``want``,
+    by default an uninterrupted fresh run's."""
     out = os.path.join(run_dir, "r.clam")
-    _fresh_dir(run_dir)
-    assert _in_child(_train(data, out), run_dir) is not None
-    want = _read_bytes(out), _read_bytes(out + ".log")
+    if want is None:
+        _fresh_dir(run_dir)
+        assert _in_child(_train(data, out), run_dir) is not None
+        want = _read_bytes(out), _read_bytes(out + ".log")
     _fresh_dir(run_dir)
     start(out)
     n_ops = _in_child(run, run_dir)
@@ -176,7 +177,8 @@ def _kill_loop_over_training(data, run_dir, start, run):
         _fresh_dir(run_dir)
         start(out)
         assert _in_child(run, run_dir, kill_at=i) is None
-        again = _train(data, out, resume_from=out) if os.path.exists(out) else _train(data, out)
+        again = (_train(data, out, steps=steps, resume_from=out) if os.path.exists(out)
+                 else _train(data, out, steps=steps))
         _in_child(again, run_dir)
         if (_read_bytes(out), _read_bytes(out + ".log")) != want:
             bad.append(i)
@@ -207,6 +209,31 @@ def test_a_kill_anywhere_in_a_resume_in_place_resumes_to_the_same_bytes(tmp_path
     n_ops, bad = _kill_loop_over_training(data, run_dir, start,
                                           _train(data, out, resume_from=out))
     assert n_ops >= 12  # the log, its two new lines and two checkpoint saves
+    assert bad == []
+
+
+def test_a_kill_anywhere_in_a_resume_in_place_from_a_pruned_checkpoint_resumes_to_the_same_bytes(
+        tmp_path):
+    data = make_dataset(tmp_path)
+    step2 = str(tmp_path / "step2")
+    _fresh_dir(step2)
+    _in_child(_train(data, os.path.join(step2, "r.clam"), steps=2), step2)
+    pruned = os.path.join(step2, "pruned.clam")
+    trainer.save_state(trainer.prune_state(trainer.load_state(os.path.join(step2, "r.clam")), 1),
+                       pruned)
+    ref = os.path.join(step2, "ref.clam")
+    _in_child(_train(data, ref, steps=6, resume_from=pruned), step2)
+
+    def start(out):
+        shutil.copy(pruned, out)
+
+    run_dir = str(tmp_path / "run")
+    out = os.path.join(run_dir, "r.clam")
+    n_ops, bad = _kill_loop_over_training(data, run_dir, start,
+                                          _train(data, out, steps=6, resume_from=out),
+                                          want=(_read_bytes(ref), _read_bytes(ref + ".log")),
+                                          steps=6)
+    assert n_ops >= 16  # the log, its four new lines and three checkpoint saves
     assert bad == []
 
 

@@ -551,6 +551,56 @@ def test_carried_log_must_hold_steps_1_to_k_in_order(tmp_path, text, missing):
         trainer._carried_log_lines(str(log), 3)
 
 
+@pytest.mark.parametrize("text, step, kept", [
+    ("", 3, 0),
+    ("4\ta\n5\tb\n", 3, 0),
+    ("3\ta\n4\tb\n5\tc\n", 4, 2),
+], ids=["empty", "after", "from-3"])
+def test_carried_log_may_start_after_a_pruned_checkpoint(tmp_path, text, step, kept):
+    log = tmp_path / "r.clam.log"
+    log.write_text(text)
+    assert trainer._carried_log_lines(str(log), step) == text.splitlines(keepends=True)[:kept]
+
+
+@pytest.mark.parametrize("text, step, match", [
+    ("5\ta\n", 3, "starts at step 5"),
+    ("0\ta\n1\tb\n", 1, "starts at step 0"),
+    ("3\ta\n5\tb\n", 4, "step 4 is missing"),
+], ids=["late", "zero", "gap"])
+def test_carried_log_from_a_later_step_must_still_reach_k(tmp_path, text, step, match):
+    log = tmp_path / "r.clam.log"
+    log.write_text(text)
+    with pytest.raises(DataError, match=match):
+        trainer._carried_log_lines(str(log), step)
+
+
+def test_a_run_from_a_pruned_checkpoint_resumes_twice_to_the_same_bytes(tmp_path, monkeypatch):
+    data = make_dataset(tmp_path)
+    step2 = str(tmp_path / "step2.clam")
+    trainer.run_training(**run_args(data, step2, steps=2))
+    pruned = str(tmp_path / "pruned.clam")
+    trainer.save_state(trainer.prune_state(trainer.load_state(step2), 1), pruned)
+    full = str(tmp_path / "full.clam")
+    trainer.run_training(**dict(run_args(data, full, steps=6), resume_from=pruned))
+    assert Path(full + ".log").read_text().splitlines()[0].split("\t")[0] == "3"
+
+    def crash(state, batch):
+        raise RuntimeError("killed")
+
+    out = str(tmp_path / "r.clam")
+    with monkeypatch.context() as mp:
+        mp.setattr(trainer, "calibrate_marker_channel", crash)
+        with pytest.raises(RuntimeError):
+            trainer.run_training(**dict(run_args(data, out, steps=5), resume_from=pruned),
+                                 checkpoint_every=2)
+    # the resume point is step 4; the log holds steps 3..5
+    assert trainer.load_state(out).step == 4
+    assert len(Path(out + ".log").read_text().splitlines()) == 3
+    trainer.run_training(**dict(run_args(data, out, steps=6), resume_from=out))
+    assert Path(full).read_bytes() == Path(out).read_bytes()
+    assert Path(full + ".log").read_bytes() == Path(out + ".log").read_bytes()
+
+
 def test_resume_below_checkpoint_step_rejected(tmp_path):
     data = make_dataset(tmp_path)
     out = str(tmp_path / "r.clam")
