@@ -7,6 +7,7 @@ live in separate files ``manifest_train.tsv`` / ``manifest_val.tsv`` /
 ``manifest_test.tsv`` next to the data.
 """
 
+import contextlib
 import os
 from dataclasses import dataclass
 
@@ -29,6 +30,15 @@ def manifest_path(data_dir, split):
     if split not in SPLITS:
         raise ValueError(f"unknown split {split!r}; expected one of {SPLITS}")
     return os.path.join(data_dir, f"manifest_{split}.tsv")
+
+
+def remove_manifests(data_dir):
+    """Removes the split manifests of ``data_dir``.  A rewrite of a tree's
+    images does this first, so a kill part-way reads as a missing manifest,
+    never as a split that mixes old and new images."""
+    for split in SPLITS:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(manifest_path(data_dir, split))
 
 
 def parse_manifest_text(text, name="manifest"):

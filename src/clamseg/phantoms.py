@@ -23,7 +23,7 @@ import numpy as np
 from . import pgm
 from .files import write_atomic
 from .imops import distance_transform_edt, round_half_up
-from .manifest import Record, manifest_path, write_manifest
+from .manifest import Record, manifest_path, remove_manifests, write_manifest
 from .seeding import derive_rng
 
 
@@ -152,6 +152,7 @@ def generate_phantoms(out_dir, count, positive_fraction, seed, params=None,
     eval_dir = os.path.join(out_dir, "eval_masks")
     for d in (img_dir, organ_dir, eval_dir):
         os.makedirs(d, exist_ok=True)
+    remove_manifests(out_dir)
 
     log_rows = ["name\tlabel\tcy\tcx\ta\tb\ttheta\tbase\tlesions"]
     for i in range(count):

@@ -21,7 +21,8 @@ from . import pgm
 from .errors import DataError
 from .files import read_text, write_atomic
 from .imops import bilinear_resize, close_3x3, largest_component, otsu_threshold, pad_center
-from .manifest import SPLITS, Record, manifest_path, read_manifest, write_manifest
+from .manifest import (SPLITS, Record, manifest_path, read_manifest, remove_manifests,
+                       write_manifest)
 
 CROP_MARGIN = 4
 
@@ -128,16 +129,17 @@ def preprocess_dataset(in_dir, out_dir, mask_mode="external", out_size=256):
     if not found:
         raise DataError(f"no manifest_*.tsv files found in {in_dir}")
 
+    splits = {split: read_manifest(manifest_path(in_dir, split)) for split in found}
     img_dir = os.path.join(out_dir, "images")
     mask_dir = os.path.join(out_dir, "masks")
     os.makedirs(img_dir, exist_ok=True)
     os.makedirs(mask_dir, exist_ok=True)
+    remove_manifests(out_dir)
 
     warnings = []
     geoms = {}
     counts = {}
-    for split in found:
-        records = read_manifest(manifest_path(in_dir, split))
+    for split, records in splits.items():
         kept = []
         for rec in records:
             name = os.path.basename(rec.image)

@@ -2,11 +2,13 @@
 
 Tensors wrap a numpy array (float32 by default, float64 for shadow
 evaluations used by the gradient checker).  Every differentiable operation
-records a node on an implicit tape: the node holds references to the operand
-tensors and a rule mapping the upstream gradient to operand gradients.
+records a node on an implicit tape: the node holds, per operand, that
+operand's node, the operand itself if it is a ``requires_grad`` leaf, or
+None, and a rule mapping the upstream gradient to operand gradients.
 ``backward`` replays the recorded nodes in reverse topological order,
-accumulates gradients into every ``requires_grad`` leaf, and then clears the
-tape, so a second backward without a new forward pass is an error.
+accumulates gradients into every ``requires_grad`` leaf, and consumes the
+tape as it goes, so a second backward without a new forward pass is an
+error.
 
 Conventions fixed project-wide:
 
@@ -25,10 +27,15 @@ same sample run alone.
 
 Inside ``no_grad()`` ops record nothing: forward-only callers (inference,
 calibration, the gradient checker's finite-difference probes) keep no
-backward graph alive even when their parameters require gradients.  Values
-that only the backward rule needs, such as relu's and clamp_min's masks, are
-built inside ``grad_fn`` from the input array captured in the forward, so
-forward-only calls never pay for them.
+backward graph alive even when their parameters require gradients.
+
+The tape holds only what the rules read.  No node refers to an intermediate
+tensor, so an op's output array lives only while a rule has captured it:
+conv keeps its padded input copy or its columns, softmax its output, relu
+and clamp_min a bool mask.  Those masks are built in the forward and only
+when the op is recorded, so forward-only calls never pay for them.
+``backward`` drops each node's rule as soon as it has run, so the saved
+arrays are freed during the reverse pass, not after it.
 """
 
 import ctypes
@@ -43,7 +50,7 @@ from .imops import _axis_taps
 
 _FLOAT_DTYPES = (np.float32, np.float64)
 
-# ``backward`` drops the whole tape at the end of a step.  Under glibc's
+# ``backward`` frees the whole tape by the end of a step.  Under glibc's
 # default dynamic thresholds the freed temporaries go back to the kernel
 # (trimmed heap top, unmapped large blocks), and the next step faults them in
 # again page by page.  Criterion-6 train_step (two twins, 8 pairs, 2-vCPU x86
@@ -79,7 +86,8 @@ _keep_freed_memory()
 
 
 class TapeNode:
-    """One recorded operation: operand references plus a gradient rule."""
+    """One recorded operation: per operand its node, a leaf Tensor or None,
+    plus a gradient rule; ``backward`` sets the rule to None once it ran."""
 
     __slots__ = ("parents", "grad_fn")
 
@@ -162,9 +170,18 @@ def no_grad():
         _recording = prev
 
 
+def _tape_ref(t):
+    """What a node records for operand ``t``: its live node, ``t`` itself if it
+    is a requires_grad leaf, or None.  A consumed node counts as none."""
+    node = t._node
+    if node is not None and node.grad_fn is not None:
+        return node
+    return t if t.requires_grad else None
+
+
 def _needs_grad(t):
-    """True when backward must deliver a gradient to ``t``: a leaf or a tape node."""
-    return t.requires_grad or t._node is not None
+    """True when backward must deliver a gradient to ``t``: a leaf or a live tape node."""
+    return _tape_ref(t) is not None
 
 
 def _wrap(data):
@@ -185,8 +202,10 @@ def _result(data, op, parents, grad_fn):
     """Wrap an op's output, in its operands' dtype, recording a node if needed."""
     _check_finite(data, op)
     out = _wrap(data)
-    if _recording and any(_needs_grad(p) for p in parents):
-        out._node = TapeNode(tuple(parents), grad_fn)
+    if _recording:
+        refs = tuple(_tape_ref(p) for p in parents)
+        if any(r is not None for r in refs):
+            out._node = TapeNode(refs, grad_fn)
     return out
 
 
@@ -234,37 +253,40 @@ def mul(a, b):
     with np.errstate(over="ignore"):
         out = a.data * b.data
 
-    needs_ga, needs_gb = _needs_grad(a), _needs_grad(b)
+    # each operand's gradient reads the other operand only
+    ad = a.data if _needs_grad(b) else None
+    bd = b.data if _needs_grad(a) else None
 
     def grad_fn(g):
-        ga = g * b.data if needs_ga else None
-        if not needs_gb:
+        ga = None if bd is None else g * bd
+        if ad is None:
             gb = None
         elif scalar:
-            gb = (g * a.data).sum(dtype=g.dtype).reshape(())
+            gb = (g * ad).sum(dtype=g.dtype).reshape(())
         else:
-            gb = g * a.data
+            gb = g * ad
         return ga, gb
 
     return _result(out, "mul", (a, b), grad_fn)
 
 
 def relu(x):
-    xd = x.data
-    out = np.maximum(xd, 0)
+    out = np.maximum(x.data, 0)
+    mask = x.data > 0 if _recording and _needs_grad(x) else None
 
     def grad_fn(g):
-        return (g * (xd > 0),)
+        return (g * mask,)
 
     return _result(out, "relu", (x,), grad_fn)
 
 
 def log(x):
+    xd = x.data
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.log(x.data)
+        out = np.log(xd)
 
     def grad_fn(g):
-        return (g / x.data,)
+        return (g / xd,)
 
     return _result(out, "log", (x,), grad_fn)
 
@@ -272,11 +294,11 @@ def log(x):
 def clamp_min(x, floor):
     """Elementwise max(x, floor); gradient passes where x >= floor."""
     floor = float(floor)
-    xd = x.data
-    out = np.maximum(xd, floor)
+    out = np.maximum(x.data, floor)
+    mask = x.data >= floor if _recording and _needs_grad(x) else None
 
     def grad_fn(g):
-        return (g * (xd >= floor),)
+        return (g * mask,)
 
     return _result(out, "clamp_min", (x,), grad_fn)
 
@@ -318,20 +340,21 @@ def bounded_ratio(y, p):
 # reductions
 
 def tsum(x):
-    out = x.data.sum(dtype=x.data.dtype).reshape(())
+    shape, dtype = x.data.shape, x.data.dtype
+    out = x.data.sum(dtype=dtype).reshape(())
 
     def grad_fn(g):
-        return (np.full_like(x.data, g),)
+        return (np.full(shape, g, dtype=dtype),)
 
     return _result(out, "sum", (x,), grad_fn)
 
 
 def tmean(x):
-    n = x.data.size
-    out = (x.data.sum(dtype=x.data.dtype) / n).reshape(())
+    shape, dtype, n = x.data.shape, x.data.dtype, x.data.size
+    out = (x.data.sum(dtype=dtype) / n).reshape(())
 
     def grad_fn(g):
-        return (np.full_like(x.data, g / n),)
+        return (np.full(shape, g / n, dtype=dtype),)
 
     return _result(out, "mean", (x,), grad_fn)
 
@@ -500,6 +523,7 @@ def conv2d(x, w, b=None, stride=1, padding=0):
     if w.data.dtype != x.data.dtype:
         raise ValueError("conv2d: kernel dtype mismatch")
     k = kh
+    wd = w.data
     Ho = (H + 2 * padding - k) // stride + 1
     Wo = (W + 2 * padding - k) // stride + 1
     if Ho <= 0 or Wo <= 0:
@@ -510,15 +534,15 @@ def conv2d(x, w, b=None, stride=1, padding=0):
         buf, Wp = _flat_pad(x.data, padding, k)
         if taps:
             # contiguous (Cout, Cin) tap blocks: a strided w[:, :, i, j] misses BLAS
-            out = _tap_correlate(buf, Wp, w.data.transpose(2, 3, 0, 1).copy())
+            out = _tap_correlate(buf, Wp, wd.transpose(2, 3, 0, 1).copy())
         else:
             colm = _window_cols(buf, Wp, k, stride)
             buf = None  # the kernel gradient reads the columns only
-            wm = w.data.reshape(Cout, Cin * k * k)
+            wm = wd.reshape(Cout, Cin * k * k)
             out = np.matmul(wm, colm).reshape(B, Cout, Ho, Wo)
         if b is not None:
             out += b.data[None, :, None, None]
-    needs_gx = _needs_grad(x)
+    needs_gx, has_bias = _needs_grad(x), b is not None
 
     def grad_fn(g):
         gm = g.reshape(B, Cout, Ho * Wo)
@@ -531,12 +555,12 @@ def conv2d(x, w, b=None, stride=1, padding=0):
                 np.matmul(sl, gt, out=per_sample[i, j])
             gw = per_sample.sum(axis=2).transpose(3, 2, 0, 1)
         else:
-            gw = np.matmul(colm, gm.transpose(0, 2, 1)).sum(axis=0).T.reshape(w.data.shape)
+            gw = np.matmul(colm, gm.transpose(0, 2, 1)).sum(axis=0).T.reshape(wd.shape)
         if not needs_gx:
             gx = None
         elif stride == 1:
             gbuf, gWp = _flat_pad(g, k - 1 - padding, k)
-            wf = w.data[:, :, ::-1, ::-1]
+            wf = wd[:, :, ::-1, ::-1]
             if taps:
                 gx = _tap_correlate(gbuf, gWp, wf.transpose(2, 3, 1, 0).copy())
             else:
@@ -550,7 +574,7 @@ def conv2d(x, w, b=None, stride=1, padding=0):
                 for j in range(k):
                     gxp[:, :, i:i + Ho * stride:stride, j:j + Wo * stride:stride] += gcols[:, :, i, j]
             gx = gxp[:, :, padding:padding + H, padding:padding + W]
-        if b is None:
+        if not has_bias:
             return gx, gw
         return gx, gw, g.sum(axis=(0, 2, 3))
 
@@ -602,48 +626,54 @@ def upsample_bilinear2x(x):
 def backward(loss):
     """Accumulate d(loss)/d(leaf) into the ``.grad`` of every reachable requires_grad leaf.
 
-    The tape is consumed: calling backward again without a fresh forward
-    pass raises.
+    Walks the nodes in reverse topological order and drops each node's rule
+    once it has run, which frees the arrays it saved.  The tape is consumed:
+    a second backward from the loss or from any tensor on the consumed part
+    raises.
     """
     if not isinstance(loss, Tensor):
         raise TypeError("backward expects a Tensor")
     if loss.data.shape != ():
         raise ValueError(f"backward requires a scalar loss, got shape {loss.data.shape}")
-    if loss._node is None:
+    root = loss._node
+    if root is None or root.grad_fn is None:
         raise ValueError("loss is not connected to a tape (no recorded ops, or backward already ran)")
 
-    topo = []
+    # nodes and leaves, each after everything it depends on
+    order = []
     seen = set()
-    stack = [(loss, False)]
+    stack = [(root, False)]
     while stack:
-        t, expanded = stack.pop()
+        item, expanded = stack.pop()
         if expanded:
-            topo.append(t)
+            order.append(item)
             continue
-        if id(t) in seen:
+        if id(item) in seen:
             continue
-        seen.add(id(t))
-        stack.append((t, True))
-        if t._node is not None:
-            for p in t._node.parents:
-                if id(p) not in seen:
+        seen.add(id(item))
+        stack.append((item, True))
+        if not isinstance(item, Tensor):
+            if item.grad_fn is None:
+                raise ValueError("the tape below this loss was consumed by an earlier backward")
+            for p in item.parents:
+                if p is not None and id(p) not in seen:
                     stack.append((p, False))
 
-    grads = {id(loss): np.ones((), dtype=loss.data.dtype)}
-    for t in reversed(topo):
-        g = grads.pop(id(t), None)
-        if g is None:
+    grads = {id(root): np.ones((), dtype=loss.data.dtype)}
+    while order:
+        item = order.pop()
+        g = grads.pop(id(item), None)
+        if isinstance(item, Tensor):
+            if g is not None and item.requires_grad:
+                item.grad += g
             continue
-        node = t._node
-        if node is None:
-            if t.requires_grad:
-                t.grad += g
-            continue
-        for p, pg in zip(node.parents, node.grad_fn(g)):
-            if pg is None:
+        rule, item.grad_fn = item.grad_fn, None
+        pgs = () if g is None else rule(g)
+        rule = None  # frees what the rule saved before the next rule runs
+        for p, pg in zip(item.parents, pgs):
+            if p is None or pg is None:
                 continue
             if id(p) in grads:
                 grads[id(p)] = grads[id(p)] + pg
             else:
                 grads[id(p)] = pg
-        t._node = None

@@ -1,5 +1,7 @@
 import ast
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -71,3 +73,16 @@ def test_write_atomic_writes_a_str_as_ascii_or_leaves_the_old_file(tmp_path):
     assert p.read_bytes() == b"x\ty\n"
     assert sorted(f.name for f in tmp_path.iterdir()) == ["a.tsv"]
 
+
+def test_a_save_removes_the_temp_files_that_dead_writers_left_and_keeps_a_live_ones(tmp_path):
+    gone = subprocess.Popen([sys.executable, "-c", ""])
+    gone.wait()
+    dead, live = gone.pid, os.getppid()
+    left = [f"r.clam.{dead}.tmp", f"r.clam.{live}.tmp", f"r.clam.log.{dead}.tmp",
+            f"q.clam.{dead}.tmp", "r.clam.x.tmp"]
+    for name in left:
+        (tmp_path / name).write_bytes(b"cut")
+    files.write_atomic(str(tmp_path / "r.clam"), b"new")
+    # only r.clam's own temp files of a pid that no longer runs go
+    assert sorted(f.name for f in tmp_path.iterdir()) == sorted(["r.clam"] + left[1:])
+    assert (tmp_path / "r.clam").read_bytes() == b"new"

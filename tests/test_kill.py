@@ -244,12 +244,14 @@ def _batch_key(data_dir):
             for b in augment.load_batch(data_dir, "train")]
 
 
-def _kill_loop_over_a_tree(out, make):
-    """For every i: kill ``make()`` at operation i in a fresh ``out``; the
-    tree must then read as the uninterrupted tree's train split, or fail to
-    read with a DataError, and a rerun must give the uninterrupted bytes.
-    Returns the number of kill points and the trees that read."""
+def _kill_loop_over_a_tree(out, make, start=lambda: None):
+    """For every i: kill ``make()`` at operation i in a fresh ``out`` that
+    ``start()`` set up; the tree must then read as the uninterrupted tree's
+    train split, or fail to read with a DataError, and a rerun must give the
+    uninterrupted bytes and remove the killed run's temp files.  Returns the
+    number of kill points and the trees that read."""
     _fresh_dir(out)
+    start()
     n_ops = _in_child(make, out)
     want_files, tmp = _files(out)
     want_batch = _batch_key(out)
@@ -257,6 +259,7 @@ def _kill_loop_over_a_tree(out, make):
     reads = 0
     for i in range(1, n_ops + 1):
         _fresh_dir(out)
+        start()
         assert _in_child(make, out, kill_at=i) is None
         try:
             got = _batch_key(out)
@@ -266,13 +269,14 @@ def _kill_loop_over_a_tree(out, make):
             assert got == want_batch, f"killed at operation {i}, the tree reads otherwise"
             reads += 1
         make()
-        files, _ = _files(out)
+        files, tmp = _files(out)
         assert files == want_files, f"killed at operation {i}, a rerun differs"
+        assert tmp == [], f"killed at operation {i}, a rerun leaves {tmp}"
     return n_ops, reads
 
 
-def _gen(out):
-    return lambda: phantoms.generate_phantoms(out, 6, 0.5, seed=77,
+def _gen(out, seed=77):
+    return lambda: phantoms.generate_phantoms(out, 6, 0.5, seed=seed,
                                               params=phantoms.PhantomParams.easy(size=16))
 
 
@@ -291,5 +295,25 @@ def test_a_kill_anywhere_in_preprocess_leaves_a_full_tree_or_a_data_error(tmp_pa
     out = str(tmp_path / "pre")
     n_ops, reads = _kill_loop_over_a_tree(
         out, lambda: preprocess.preprocess_dataset(src, out, out_size=16))
+    assert n_ops >= 6 * 2 * 3 + 4 * 4
+    assert 0 < reads < n_ops
+
+
+def test_a_kill_anywhere_in_gen_data_rerun_at_a_new_seed_never_reads_as_a_mixed_tree(tmp_path):
+    # the old manifests go before the first image is rewritten
+    out = str(tmp_path / "ds")
+    n_ops, reads = _kill_loop_over_a_tree(out, _gen(out, seed=78), start=_gen(out))
+    assert n_ops >= 6 * 3 * 3 + 4 * 4
+    assert 0 < reads < n_ops
+
+
+def test_a_kill_anywhere_in_preprocess_rerun_on_new_images_never_reads_as_a_mixed_tree(tmp_path):
+    old, new = str(tmp_path / "old"), str(tmp_path / "new")
+    _gen(old)()
+    _gen(new, seed=78)()
+    out = str(tmp_path / "pre")
+    n_ops, reads = _kill_loop_over_a_tree(
+        out, lambda: preprocess.preprocess_dataset(new, out, out_size=16),
+        start=lambda: preprocess.preprocess_dataset(old, out, out_size=16))
     assert n_ops >= 6 * 2 * 3 + 4 * 4
     assert 0 < reads < n_ops

@@ -734,6 +734,158 @@ def test_no_grad_restores_recording_when_body_raises():
 
 
 # ---------------------------------------------------------------------------
+# what the tape keeps
+
+def _criterion6_twin():
+    """A criterion-6 twin, a batch of 8 inputs, and a pair loss function."""
+    model = UnetPP(UnetPPConfig(levels=3, input_size=32, base_channels=8), seed=7)
+    rng = np.random.default_rng(72)
+    x = T.Tensor(rng.uniform(0, 1, (8, 1, 32, 32)).astype(np.float32))
+    target = rng.uniform(0, 1, (8, 2, 32, 32)).astype(np.float32)
+    cross = [i % 2 == 1 for i in range(8)]
+
+    def loss_of(p):
+        return losses.pair_total(losses.pair_half_terms(target, p, cross), [1.0] * 8)[0]
+
+    return model, x, loss_of
+
+
+def test_a_recorded_forward_keeps_only_what_the_backward_rules_read():
+    # a tape that keeps every operand holds 10.6 MB here, one that keeps
+    # conv buffers, relu masks and the softmax output 5.7 MB
+    import tracemalloc
+
+    model, x, _ = _criterion6_twin()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        p = model.forward(x)
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert p._node is not None
+    assert held < 8e6, held
+
+
+def test_relu_inputs_and_concat_outputs_die_with_the_forward(monkeypatch):
+    import weakref
+
+    model, x, _ = _criterion6_twin()
+    refs = {"relu": [], "concat_channels": []}
+    relu, concat = T.relu, T.concat_channels
+
+    def relu_spy(h):
+        refs["relu"].append(weakref.ref(h.data))
+        return relu(h)
+
+    def concat_spy(parts):
+        out = concat(parts)
+        refs["concat_channels"].append(weakref.ref(out.data))
+        return out
+
+    monkeypatch.setattr(T, "relu", relu_spy)
+    monkeypatch.setattr(T, "concat_channels", concat_spy)
+    p = model.forward(x)
+    assert p._node is not None
+    assert len(refs["relu"]) == 12 and len(refs["concat_channels"]) == 3
+    assert {op: sum(r() is not None for r in rs) for op, rs in refs.items()} == \
+        {"relu": 0, "concat_channels": 0}
+
+
+def _saved_arrays(loss, exclude):
+    """{node: [weakref, ...]} of the arrays each rule on ``loss``'s tape
+    captured, except those sharing memory with an array of ``exclude``."""
+    import weakref
+
+    out, stack, seen = {}, [loss._node], set()
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        arrays = []
+        for cell in node.grad_fn.__closure__ or ():
+            try:
+                a = cell.cell_contents
+            except ValueError:  # a variable that this op's path never set
+                continue
+            if isinstance(a, np.ndarray) and not any(np.may_share_memory(a, e) for e in exclude):
+                arrays.append(weakref.ref(a))
+        out[node] = arrays
+        for p in node.parents:
+            p = p._node if isinstance(p, T.Tensor) else p
+            if p is not None:
+                stack.append(p)
+    return out
+
+
+def test_backward_frees_what_each_rule_saved_as_soon_as_it_ran():
+    model, x, loss_of = _criterion6_twin()
+    loss = loss_of(model.forward(x))
+    # parameters, the input and the cached upsampling matrices outlive the step
+    exclude = [t.data for t in model.params.values()] + [x.data] + \
+        [T._up2x_matrix(n, np.float32) for n in (8, 16)]
+    saved = _saved_arrays(loss, exclude)
+    assert sum(len(v) for v in saved.values()) > 30
+    alive_before = []
+
+    def watch(node, rule):
+        others = [r for other, rs in saved.items() if other is not node for r in rs]
+
+        def checked(g):
+            alive_before.append(sum(r() is not None for r in others))
+            return rule(g)
+
+        return checked
+
+    for node in saved:
+        node.grad_fn = watch(node, node.grad_fn)
+    T.backward(loss)
+    # when the last rule runs, every other rule's arrays are gone
+    assert len(alive_before) == len(saved)
+    assert alive_before[-1] == 0
+    assert sum(r() is not None for rs in saved.values() for r in rs) == 0
+
+
+def test_a_consumed_tape_raises_from_the_loss_and_from_any_tensor_on_it():
+    x = T.Tensor(np.ones(3), requires_grad=True)
+    s = (x * 2.0).sum()
+    loss = s * 3.0
+    T.backward(loss)
+    for t in (loss, s):
+        with pytest.raises(ValueError):
+            T.backward(t)
+    # backward from an intermediate consumes the tape below the loss too
+    x.zero_grad()
+    s = (x * 2.0).sum()
+    loss = s * 3.0
+    T.backward(s)
+    with pytest.raises(ValueError, match="consumed"):
+        T.backward(loss)
+    np.testing.assert_array_equal(x.grad, 2.0)
+
+
+def test_a_forward_only_relu_allocates_its_output_and_no_mask():
+    import tracemalloc
+
+    x = T.Tensor(np.ones((64, 64, 64), dtype=np.float32) - 0.5, requires_grad=True)
+    for record in (False, True):
+        tracemalloc.start()
+        try:
+            if record:
+                out = T.relu(x)
+            else:
+                with T.no_grad():
+                    out = T.relu(x)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # beside the 1 MiB output, a recorded relu keeps a one-byte-per-element mask
+        mask = x.data.size if record else 0
+        assert mask <= held - out.data.nbytes < mask + x.data.size // 8
+
+
+# ---------------------------------------------------------------------------
 # allocator thresholds
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc allocator only")

@@ -3,9 +3,11 @@ half of calibration and of the gradcheck suite: same bits as in process,
 errors that match, no process left behind, and the stall warning of
 ``run_training``."""
 
+import gc
 import multiprocessing
 import os
 import signal
+import sys
 import time
 
 import numpy as np
@@ -303,6 +305,27 @@ def test_a_killed_child_is_an_error(monkeypatch):
                                            r"mid-exchange, exit code -9"):
         cores.split_in_two(fn, 4)
     assert time.monotonic() - t0 < 20
+
+
+def _return_at_once(conn):
+    pass
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="Linux fault counts")
+def test_a_forked_child_puts_no_full_collection_in_the_parents_faults():
+    # a full collection writes the header of every object it tracks, and the
+    # fork write-protected the pages that hold them: unfrozen, these 100,000
+    # lists fault in about 3,000 pages
+    import resource
+
+    keep = [[None] for _ in range(100_000)]
+    child = cores.Child(_return_at_once)
+    child.close()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    gc.collect()
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < 500, faults
+    assert len(keep) == 100_000
 
 
 # -- errors ------------------------------------------------------------------
