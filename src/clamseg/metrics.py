@@ -14,10 +14,10 @@ import os
 
 import numpy as np
 
-from . import pgm, preprocess, trainer
+from . import pgm, trainer
+from .augment import load_batch
 from .errors import DataError
 from .files import write_atomic
-from .manifest import manifest_path, read_manifest
 from .seeding import derive_rng
 
 
@@ -80,44 +80,26 @@ def evaluate(ckpt_path, data_dir, split="test", threshold=0.5, depth=None,
              seed=0, trials=200, out_prefix=None):
     """Infer every image of a split and score against hidden masks.
 
-    Hidden masks are looked up by image basename.  When the data dir carries
-    a preprocessing geometry sidecar, masks come from the recorded source
-    dataset and are mapped into the preprocessed frame; otherwise they are
-    read from `<data_dir>/eval_masks` as-is.  Writes a human-readable table
-    and a key=value file next to the checkpoint and returns the report dict.
+    Hidden masks are read from `<data_dir>/eval_masks/<image basename>`, in
+    the frame of the split's images; `preprocess` maps them into its output
+    tree.  Writes a human-readable table and a key=value file next to the
+    checkpoint and returns the report dict.
     """
     if trials < MIN_TRIALS:
         raise ValueError(f"need at least {MIN_TRIALS} trials, got {trials}")
     state = trainer.load_state(ckpt_path)
-    records = read_manifest(manifest_path(data_dir, split))
-    if not records:
-        raise DataError(f"{split} manifest in {data_dir} is empty")
-
-    geoms = None
-    if os.path.exists(os.path.join(data_dir, "geometry.tsv")):
-        source_dir, geoms = preprocess.read_geometry(data_dir)
-        mask_dir = os.path.join(source_dir, "eval_masks")
-    else:
-        mask_dir = os.path.join(data_dir, "eval_masks")
-
     rows = []
     rate_sum = 0.0
     truths = []
-    for rec in records:
-        name = os.path.basename(rec.image)
-        mask_path = os.path.join(mask_dir, name)
+    for item in load_batch(data_dir, split):
+        mask_path = os.path.join(data_dir, "eval_masks", item.name)
         if not os.path.exists(mask_path):
             raise DataError(f"missing hidden mask {mask_path}")
         truth = pgm.read_mask(mask_path)
-        if geoms is not None:
-            if name not in geoms:
-                raise DataError(f"{name} not present in geometry sidecar")
-            truth = preprocess.transform_mask(truth, geoms[name], threshold=0.5)
-        img = pgm.read_unit(os.path.join(data_dir, rec.image))
-        pred = trainer.infer_state(state, img, depth=depth, threshold=threshold)
+        pred = trainer.infer_state(state, item.image, depth=depth, threshold=threshold)
         if pred.shape != truth.shape:
-            raise DataError(f"{name}: prediction {pred.shape} vs truth {truth.shape}")
-        rows.append((name, rec.label, dice(pred, truth), iou(pred, truth)))
+            raise DataError(f"{item.name}: prediction {pred.shape} vs truth {truth.shape}")
+        rows.append((item.name, item.label, dice(pred, truth), iou(pred, truth)))
         rate_sum += float(pred.mean())
         truths.append(truth)
 

@@ -7,10 +7,11 @@ cropping so background never leaks into the resampled frame.  The crop is the
 mask bounding box plus a 4-pixel margin (clamped), padded to square, then
 resampled bilinearly to the output size.
 
-A ``geometry.tsv`` sidecar records the crop box and padding for every image,
-and the source directory relative to the output directory, so that masks
-living in the source frame (for example held-out evaluation masks) can be
-mapped into the output frame later, also after both directories move together.
+Each kept image's hidden evaluation mask (``eval_masks/<name>``, when the
+input has one) goes through the same crop, pad and resize once, cut at 0.5
+(organ masks are cut at 0.0), into the output's ``eval_masks/``.  So a
+preprocessed tree has a generated tree's layout and needs nothing from its
+source.  No manifest lists a hidden mask.
 """
 
 import os
@@ -19,7 +20,6 @@ import numpy as np
 
 from . import pgm
 from .errors import DataError
-from .files import read_text, write_atomic
 from .imops import bilinear_resize, close_3x3, largest_component, otsu_threshold, pad_center
 from .manifest import (SPLITS, Record, manifest_path, read_manifest, remove_manifests,
                        write_manifest)
@@ -39,6 +39,14 @@ def organ_mask_threshold(img):
     return close_3x3(comp)
 
 
+def _reframe(arr, geom):
+    """The crop, square-pad and resize chain of one geometry, in float64."""
+    # float64 before padding: the resize runs in its input's dtype
+    crop = arr[geom["r0"]:geom["r1"], geom["c0"]:geom["c1"]].astype(np.float64)
+    square = pad_center(crop, geom["side"], geom["side"])
+    return bilinear_resize(square, (geom["out_size"], geom["out_size"]))
+
+
 def crop_and_resize(image, mask, out_size):
     """Apply the mask-zero / crop / pad-square / resize chain to one image."""
     if image.shape != mask.shape:
@@ -52,68 +60,26 @@ def crop_and_resize(image, mask, out_size):
     r1 = min(int(rows[-1]) + 1 + CROP_MARGIN, h)
     c0 = max(int(cols[0]) - CROP_MARGIN, 0)
     c1 = min(int(cols[-1]) + 1 + CROP_MARGIN, w)
-
-    # float64 before padding: the resize runs in its input's dtype
-    crop = np.where(mask, image, 0.0)[r0:r1, c0:c1].astype(np.float64)
-    ch, cw = crop.shape
-    side = max(ch, cw)
-    square = pad_center(crop, side, side)
-
-    out = bilinear_resize(square, (out_size, out_size)).astype(np.float32)
+    side = max(r1 - r0, c1 - c0)
     geom = {"r0": r0, "c0": c0, "r1": r1, "c1": c1,
-            "top": (side - ch) // 2, "left": (side - cw) // 2,
+            "top": (side - (r1 - r0)) // 2, "left": (side - (c1 - c0)) // 2,
             "side": side, "out_size": out_size, "src_h": h, "src_w": w}
+    out = _reframe(np.where(mask, image, 0.0), geom).astype(np.float32)
     return out, geom
 
 
 def transform_mask(mask, geom, threshold=0.5):
-    """Map a source-frame binary mask through a recorded crop geometry."""
+    """Map a source-frame binary mask through a crop geometry."""
     if mask.shape != (geom["src_h"], geom["src_w"]):
         raise ValueError(f"mask shape {mask.shape} does not match geometry")
-    crop = mask[geom["r0"]:geom["r1"], geom["c0"]:geom["c1"]].astype(np.float64)
-    square = pad_center(crop, geom["side"], geom["side"])
-    out = bilinear_resize(square, (geom["out_size"], geom["out_size"]))
-    return out > threshold
+    return _reframe(mask, geom) > threshold
 
 
-_GEOM_KEYS = ("r0", "c0", "r1", "c1", "top", "left", "side", "out_size",
-              "src_h", "src_w")
-_GEOM_HEADER = "name\t" + "\t".join(_GEOM_KEYS)
-
-
-def write_geometry(out_dir, source_dir, geoms):
-    rows = [f"# source\t{source_dir}", _GEOM_HEADER]
-    rows += [name + "\t" + "\t".join(str(geoms[name][k]) for k in _GEOM_KEYS)
-             for name in sorted(geoms)]
-    write_atomic(os.path.join(out_dir, "geometry.tsv"), "".join(r + "\n" for r in rows))
-
-
-def read_geometry(out_dir):
-    """Returns (absolute source data dir, {image basename: geometry dict}).
-
-    The recorded source dir is resolved against ``out_dir``; an absolute one
-    stays itself.
-    """
-    path = os.path.join(out_dir, "geometry.tsv")
-    lines = read_text(path, "geometry sidecar").splitlines()
-    if not lines or not lines[0].startswith("# source\t"):
-        raise DataError(f"{path}: missing source header")
-    if lines[1:2] != [_GEOM_HEADER]:
-        raise DataError(f"{path}: line 2 is not the column header {_GEOM_HEADER!r}")
-    source_dir = os.path.abspath(os.path.join(out_dir, lines[0].split("\t", 1)[1]))
-    geoms = {}
-    for lineno, line in enumerate(lines[2:], start=3):
-        if not line.strip():
-            continue
-        name, *fields = line.split("\t")
-        try:
-            values = [int(v) for v in fields]
-        except ValueError:
-            values = []
-        if len(values) != len(_GEOM_KEYS):
-            raise DataError(f"{path}:{lineno}: bad geometry row {line!r}")
-        geoms[name] = dict(zip(_GEOM_KEYS, values))
-    return source_dir, geoms
+def _read_mask(path, shape):
+    mask = pgm.read_mask(path)
+    if mask.shape != shape:
+        raise DataError(f"{path}: mask {mask.shape} vs image {shape}")
+    return mask
 
 
 def preprocess_dataset(in_dir, out_dir, mask_mode="external", out_size=256):
@@ -134,10 +100,13 @@ def preprocess_dataset(in_dir, out_dir, mask_mode="external", out_size=256):
     mask_dir = os.path.join(out_dir, "masks")
     os.makedirs(img_dir, exist_ok=True)
     os.makedirs(mask_dir, exist_ok=True)
+    hidden_in = os.path.join(in_dir, "eval_masks")
+    hidden_out = os.path.join(out_dir, "eval_masks")
+    if os.path.isdir(hidden_in):
+        os.makedirs(hidden_out, exist_ok=True)
     remove_manifests(out_dir)
 
     warnings = []
-    geoms = {}
     counts = {}
     for split, records in splits.items():
         kept = []
@@ -148,7 +117,7 @@ def preprocess_dataset(in_dir, out_dir, mask_mode="external", out_size=256):
                 if rec.mask is None:
                     warnings.append(f"{split}/{name}: no mask path in manifest, skipped")
                     continue
-                mask = pgm.read_mask(os.path.join(in_dir, rec.mask))
+                mask = _read_mask(os.path.join(in_dir, rec.mask), img.shape)
             else:
                 mask = organ_mask_threshold(img)
             if not mask.any():
@@ -159,7 +128,10 @@ def preprocess_dataset(in_dir, out_dir, mask_mode="external", out_size=256):
             out_mask = transform_mask(mask, geom, threshold=0.0)
             pgm.write_unit(os.path.join(img_dir, name), out_img)
             pgm.write_mask(os.path.join(mask_dir, name), out_mask)
-            geoms[name] = geom
+            hidden = os.path.join(hidden_in, name)
+            if os.path.exists(hidden):
+                pgm.write_mask(os.path.join(hidden_out, name),
+                               transform_mask(_read_mask(hidden, img.shape), geom))
             kept.append(Record(image=f"images/{name}", label=rec.label,
                                mask=f"masks/{name}", eta=rec.eta))
         if records and not kept:
@@ -168,5 +140,4 @@ def preprocess_dataset(in_dir, out_dir, mask_mode="external", out_size=256):
         write_manifest(manifest_path(out_dir, split), kept)
         counts[split] = {"in": len(records), "out": len(kept)}
 
-    write_geometry(out_dir, os.path.relpath(in_dir, out_dir), geoms)
     return {"splits": counts, "warnings": warnings}

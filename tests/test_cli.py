@@ -191,22 +191,6 @@ def test_eval_too_few_trials_exits_1_before_any_inference(ws, capsys, monkeypatc
     assert calls == []
 
 
-def test_eval_corrupt_geometry_sidecar_exits_2(ws, tmp_path, capsys):
-    pre = str(tmp_path / "pre")
-    assert cli.main(["preprocess", "--in", ws["data"], "--out", pre, "--size", "64"]) == 0
-    sidecar = os.path.join(pre, "geometry.tsv")
-    with open(sidecar) as fh:
-        lines = fh.read().splitlines(keepends=True)
-    name, _, rest = lines[2].split("\t", 2)
-    lines[2] = f"{name}\tNaN\t{rest}"
-    with open(sidecar, "w") as fh:
-        fh.write("".join(lines))
-    capsys.readouterr()
-    assert cli.main(["eval", "--ckpt", ws["ckpt"], "--data", pre]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("data error: ") and f"{sidecar}:3: bad geometry row" in err
-
-
 def test_eval_missing_checkpoint_exits_2(ws, capsys):
     assert cli.main(["eval", "--ckpt", ws["ckpt"] + ".nope",
                      "--data", ws["data"]]) == 2
@@ -394,9 +378,27 @@ def test_preprocess_sizes_and_idempotence(tmp_path, capsys):
     assert cli.main(["preprocess", "--in", p1, "--out", p2,
                      "--size", "16"]) == 0
     t1, t2 = _tree(p1), _tree(p2)
+    hidden = [rel for rel in t1 if rel.split(os.sep)[0] == "eval_masks"]
+    assert len(hidden) == 6 and os.path.join("eval_masks", "gen_params.tsv") not in t1
     for rel in t1:
-        if rel.split(os.sep)[0] in ("images", "masks"):
+        if rel.split(os.sep)[0] in ("images", "masks", "eval_masks"):
             assert t2[rel] == t1[rel], rel
+
+
+@pytest.mark.parametrize("sub", ["organ_masks", "eval_masks"])
+def test_preprocess_mask_of_another_size_exits_2_naming_it(tmp_path, capsys, sub):
+    data = str(tmp_path / "raw")
+    assert cli.main(["gen-data", "--out", data, "--count", "4",
+                     "--positive-frac", "0.5", "--seed", "11",
+                     "--size", "64"]) == 0
+    name = sorted(n for n in os.listdir(os.path.join(data, sub)) if n.endswith(".pgm"))[0]
+    bad = os.path.join(data, sub, name)
+    pgm.write_mask(bad, np.ones((32, 32), dtype=bool))
+    capsys.readouterr()
+    assert cli.main(["preprocess", "--in", data, "--out", str(tmp_path / "pre"),
+                     "--size", "16"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and bad in err
 
 
 def test_preprocess_all_fail_exits_2(tmp_path, capsys):

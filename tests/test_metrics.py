@@ -1,5 +1,6 @@
 import math
 import os
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -216,6 +217,30 @@ def test_evaluate_finds_hidden_masks_after_both_directories_move(tmp_path):
     got = metrics.evaluate(ckpt, str(after / "pre"), split="test", trials=100)
     assert got["n_images"] == want["n_images"] >= 2
     assert got["per_image"] == want["per_image"]
+
+
+def test_evaluate_a_tree_preprocessed_from_a_preprocessed_tree(tmp_path):
+    raw = raw_dataset(tmp_path, n=6, size=32)
+    p1, p2 = str(tmp_path / "p1"), str(tmp_path / "p2")
+    preprocess.preprocess_dataset(raw, p1, mask_mode="external", out_size=16)
+    preprocess.preprocess_dataset(p1, p2, mask_mode="external", out_size=16)
+    ckpt = checkpointed_state(tmp_path)
+    want = metrics.evaluate(ckpt, p1, split="test", trials=100)
+    got = metrics.evaluate(ckpt, p2, split="test", trials=100)
+    assert got["n_images"] == want["n_images"] >= 2
+    assert got["per_image"] == want["per_image"]
+
+
+def test_evaluate_a_preprocessed_tree_after_its_raw_tree_is_deleted(tmp_path):
+    raw = raw_dataset(tmp_path, n=6, size=32)
+    pre = str(tmp_path / "pre")
+    preprocess.preprocess_dataset(raw, pre, mask_mode="external", out_size=16)
+    ckpt = checkpointed_state(tmp_path)
+    want = metrics.evaluate(ckpt, pre, split="test", trials=100)
+    shutil.rmtree(raw)
+    got = metrics.evaluate(ckpt, pre, split="test", trials=100)
+    assert got["n_images"] >= 2
+    assert got == want
 
 
 def test_evaluate_missing_mask_is_error(tmp_path):

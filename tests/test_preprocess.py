@@ -1,4 +1,5 @@
 import os
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -151,55 +152,50 @@ def test_preprocess_dataset_external(tmp_path):
             img = pgm.read_unit(os.path.join(dst, rec.image))
             assert img.shape == (48, 48)
             assert rec.mask == "masks/" + os.path.basename(rec.image)
-    source_dir, geoms = preprocess.read_geometry(dst)
-    assert source_dir == os.path.abspath(src)
-    assert len(geoms) == 6
-    for g in geoms.values():
-        assert g["out_size"] == 48 and g["src_h"] == 64
+    hidden = sorted(os.listdir(os.path.join(dst, "eval_masks")))
+    assert len(hidden) == 6
+    for n in hidden:
+        assert pgm.read_mask(os.path.join(dst, "eval_masks", n)).shape == (48, 48)
 
 
-def test_geometry_sidecar_does_not_depend_on_the_parent_directory(tmp_path):
-    # the same raw dataset preprocessed under two parents records the same bytes
-    sidecars = []
-    for parent in ("one", "two"):
-        os.makedirs(tmp_path / parent)
-        src = make_dataset(tmp_path / parent)
-        dst = str(tmp_path / parent / "pre")
-        preprocess.preprocess_dataset(src, dst, mask_mode="external", out_size=48)
-        assert preprocess.read_geometry(dst)[0] == os.path.abspath(src)
-        with open(os.path.join(dst, "geometry.tsv"), "rb") as fh:
-            sidecars.append(fh.read())
-    assert sidecars[0] == sidecars[1]
-    # an older sidecar with an absolute source header still resolves to it
-    other = os.path.abspath(tmp_path / "one" / "src")
-    text = sidecars[1].decode("ascii")
-    with open(os.path.join(dst, "geometry.tsv"), "w", encoding="ascii") as fh:
-        fh.write(f"# source\t{other}" + text[text.index("\n"):])
-    source_dir, geoms = preprocess.read_geometry(dst)
-    assert source_dir == other and len(geoms) == 6
+def test_hidden_masks_are_mapped_through_each_images_crop(tmp_path):
+    src = make_dataset(tmp_path)
+    dst = str(tmp_path / "pre")
+    preprocess.preprocess_dataset(src, dst, mask_mode="external", out_size=48)
+    labels = []
+    for split in M.SPLITS:
+        for rec in M.read_manifest(M.manifest_path(src, split)):
+            name = os.path.basename(rec.image)
+            img = pgm.read_unit(os.path.join(src, rec.image))
+            _, geom = preprocess.crop_and_resize(
+                img, pgm.read_mask(os.path.join(src, rec.mask)), 48)
+            raw = pgm.read_mask(os.path.join(src, "eval_masks", name))
+            got = pgm.read_mask(os.path.join(dst, "eval_masks", name))
+            np.testing.assert_array_equal(got, preprocess.transform_mask(raw, geom, 0.5))
+            assert got.any() == (rec.label == "pos"), name
+            labels.append(rec.label)
+    assert sorted(set(labels)) == ["neg", "pos"]
+    # the draw log stays with the raw tree, and no manifest lists a hidden mask
+    assert not os.path.exists(os.path.join(dst, "eval_masks", "gen_params.tsv"))
+    for split in M.SPLITS:
+        for rec in M.read_manifest(M.manifest_path(dst, split)):
+            assert "eval_masks" not in (rec.image + str(rec.mask))
 
 
-def _good_sidecar(out_dir):
-    geom = dict(zip(preprocess._GEOM_KEYS, range(10)))
-    preprocess.write_geometry(str(out_dir), "src", {"a.pgm": geom, "b.pgm": geom})
-    return (out_dir / "geometry.tsv").read_bytes()
-
-
-@pytest.mark.parametrize("edit, message", [
-    (lambda raw: raw.replace(b"\t7\t", b"\tNaN\t", 1), ":3: bad geometry row 'a.pgm"),
-    (lambda raw: raw.replace(b"\t9\n", b"\n", 1), ":3: bad geometry row 'a.pgm"),
-    (lambda raw: raw[:-1] + b"\t9\n", ":4: bad geometry row 'b.pgm"),
-    (lambda raw: b"\n".join(ln for ln in raw.split(b"\n") if not ln.startswith(b"name")),
-     "line 2 is not the column header"),
-    (lambda raw: raw.replace(b"b.pgm", b"\xe9.pgm"), "cannot read"),
-], ids=["nan", "short-row", "long-row", "no-column-header", "not-ascii"])
-def test_corrupt_geometry_sidecar_is_a_data_error(tmp_path, edit, message):
-    raw = _good_sidecar(tmp_path)
-    assert preprocess.read_geometry(str(tmp_path))[1]["b.pgm"]["src_w"] == 9
-    (tmp_path / "geometry.tsv").write_bytes(edit(raw))
-    with pytest.raises(DataError, match=message) as e:
-        preprocess.read_geometry(str(tmp_path))
-    assert "geometry.tsv" in str(e.value)
+def test_an_image_without_a_hidden_mask_gets_none(tmp_path):
+    src = make_dataset(tmp_path, n=4)
+    victim = sorted(n for n in os.listdir(os.path.join(src, "eval_masks"))
+                    if n.endswith(".pgm"))[0]
+    os.remove(os.path.join(src, "eval_masks", victim))
+    dst = str(tmp_path / "pre")
+    preprocess.preprocess_dataset(src, dst, mask_mode="external", out_size=32)
+    hidden = os.listdir(os.path.join(dst, "eval_masks"))
+    assert victim not in hidden and len(hidden) == 3
+    # an input with no hidden masks at all gives an output with none
+    shutil.rmtree(os.path.join(src, "eval_masks"))
+    bare = str(tmp_path / "bare")
+    preprocess.preprocess_dataset(src, bare, mask_mode="external", out_size=32)
+    assert not os.path.exists(os.path.join(bare, "eval_masks"))
 
 
 def test_preprocess_dataset_threshold_mode(tmp_path):
