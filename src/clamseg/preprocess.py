@@ -124,7 +124,9 @@ def preprocess_dataset(in_dir, out_dir, mask_mode="external", out_size=256):
                 warnings.append(f"{split}/{name}: empty organ mask, skipped")
                 continue
             out_img, geom = crop_and_resize(img, mask, out_size)
-            # keep every pixel the resampler touched so a second pass is a no-op
+            # keep every pixel the resampler touched; a second pass is a no-op
+            # only where this one shrank the crop (an enlarged crop's margin
+            # grows, and a second pass finds a tighter box)
             out_mask = transform_mask(mask, geom, threshold=0.0)
             pgm.write_unit(os.path.join(img_dir, name), out_img)
             pgm.write_mask(os.path.join(mask_dir, name), out_mask)

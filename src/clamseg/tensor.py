@@ -31,11 +31,13 @@ backward graph alive even when their parameters require gradients.
 
 The tape holds only what the rules read.  No node refers to an intermediate
 tensor, so an op's output array lives only while a rule has captured it:
-conv keeps its padded input copy or its columns, softmax its output, relu
-and clamp_min a bool mask.  Those masks are built in the forward and only
-when the op is recorded, so forward-only calls never pay for them.
+conv keeps its padded input, never its window columns, softmax its output,
+relu and clamp_min a bool mask.  Those masks are built in the forward and
+only when the op is recorded, so forward-only calls never pay for them.
 ``backward`` drops each node's rule as soon as it has run, so the saved
-arrays are freed during the reverse pass, not after it.
+arrays are freed during the reverse pass, not after it; a conv rule drops
+its padded input once the kernel gradient has read it, before it builds the
+input gradient.
 """
 
 import ctypes
@@ -472,6 +474,7 @@ def _tap_correlate(buf, Wp, taps):
     tmp = np.empty_like(out)
     for i, j, sl in slices:
         out += np.matmul(taps[i, j], sl, out=tmp)
+    tmp = None  # freed before the cropped copy
     return np.ascontiguousarray(out.reshape(B, Cout, Ho, Wp)[:, :, :, :Wp - k + 1])
 
 
@@ -494,10 +497,15 @@ def conv2d(x, w, b=None, stride=1, padding=0):
     only, never on B: a sample run alone takes the same path as in a batch
     and gets the same bits.
 
+    The recorded node keeps the padded buffer only, never the columns, which
+    are k*k times the input at stride 1 and about k*k / 4 times at stride 2.
+
     Backward: the kernel gradient is, per sample and summed over the batch,
-    the product of the upstream gradient with the forward columns (im2col) or
-    with each tap's buffer slice (taps, the gradient laid out with the
-    buffer's row width and junk columns zeroed).  At stride 1 the input
+    the product of the upstream gradient with the columns, rebuilt from the
+    buffer by the same copy as in the forward (im2col), or with each tap's
+    buffer slice (taps, the gradient laid out with the buffer's row width
+    and junk columns zeroed).  The rule then drops the buffer, which nothing
+    reads again because the tape runs each rule once.  At stride 1 the input
     gradient is the stride-1 correlation of the upstream gradient, padded by
     k - 1 - padding (cropped where that is negative), with the flipped,
     channel-transposed kernel, on the same path as the forward.  At stride 2
@@ -536,15 +544,14 @@ def conv2d(x, w, b=None, stride=1, padding=0):
             # contiguous (Cout, Cin) tap blocks: a strided w[:, :, i, j] misses BLAS
             out = _tap_correlate(buf, Wp, wd.transpose(2, 3, 0, 1).copy())
         else:
-            colm = _window_cols(buf, Wp, k, stride)
-            buf = None  # the kernel gradient reads the columns only
             wm = wd.reshape(Cout, Cin * k * k)
-            out = np.matmul(wm, colm).reshape(B, Cout, Ho, Wo)
+            out = np.matmul(wm, _window_cols(buf, Wp, k, stride)).reshape(B, Cout, Ho, Wo)
         if b is not None:
             out += b.data[None, :, None, None]
     needs_gx, has_bias = _needs_grad(x), b is not None
 
     def grad_fn(g):
+        nonlocal buf
         gm = g.reshape(B, Cout, Ho * Wo)
         if taps:
             gflat = np.zeros((B, Cout, Ho, Wp), dtype=g.dtype)
@@ -554,8 +561,11 @@ def conv2d(x, w, b=None, stride=1, padding=0):
             for i, j, sl in _tap_slices(buf, Wp, k, Ho * Wp):
                 np.matmul(sl, gt, out=per_sample[i, j])
             gw = per_sample.sum(axis=2).transpose(3, 2, 0, 1)
+            gflat = gt = per_sample = sl = None  # dead before gx allocates too
         else:
-            gw = np.matmul(colm, gm.transpose(0, 2, 1)).sum(axis=0).T.reshape(wd.shape)
+            gw = np.matmul(_window_cols(buf, Wp, k, stride),
+                           gm.transpose(0, 2, 1)).sum(axis=0).T.reshape(wd.shape)
+        buf = None  # read by the kernel gradient only; dead before gx allocates
         if not needs_gx:
             gx = None
         elif stride == 1:

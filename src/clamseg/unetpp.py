@@ -194,6 +194,13 @@ class UnetPP:
         Only nodes with i + j <= depth are evaluated, so a head's output is
         bit-identical between the full and the pruned-to-depth graph.  A
         ``trace`` dict receives each relu's input as ``<conv name>.pre``.
+
+        The forward holds a node's output only until its last consumer has
+        run: a row's earlier nodes until the row's last node (i + j = depth)
+        has concatenated them, the node that last node upsamples until the
+        upsample, and X^{0,depth} until the head.  A node's own intermediates
+        (the downsampled input, the projection, the concatenation) die with
+        the node.  What the tape keeps is up to the ops' rules.
         """
         cfg = self.config
         d = self.resolve_depth(depth)
@@ -206,22 +213,23 @@ class UnetPP:
             raise ValueError(f"forward expects dtype {np.dtype(self.dtype).name}, got {x.data.dtype}")
 
         X = {}
-        inp = x
+        h = x
         for i in range(d + 1):
-            h = inp
             for spec in self.node_plan[(i, 0)]:
                 h = self._apply(spec, h, trace)
             X[(i, 0)] = h
-            if i < d:
-                inp = self._apply(self.down_plan[i], h, trace)
+            h = self._apply(self.down_plan[i], h, trace) if i < d else None
         for j in range(1, d + 1):
             for i in range(d - j + 1):
                 proj_spec, fuse_spec = self.node_plan[(i, j)]
-                up = T.upsample_bilinear2x(X[(i + 1, j - 1)])
-                proj = self._apply(proj_spec, up, trace)
-                fused = T.concat_channels([X[(i, jj)] for jj in range(j)] + [proj])
+                # a row's last node is the last consumer of its inputs
+                take = X.pop if i + j == d else X.__getitem__
+                proj = self._apply(proj_spec, T.upsample_bilinear2x(take((i + 1, j - 1))), trace)
+                fused = T.concat_channels([take((i, jj)) for jj in range(j)] + [proj])
+                proj = None
                 X[(i, j)] = self._apply(fuse_spec, fused, trace)
-        return T.softmax_channels(self._apply(self.head_plan[d], X[(0, d)], trace))
+                fused = None
+        return T.softmax_channels(self._apply(self.head_plan[d], X.pop((0, d)), trace))
 
     # -- parameter access ---------------------------------------------------
 

@@ -193,7 +193,7 @@ def test_evaluate_reports_are_deterministic_and_consistent(tmp_path):
     assert np.mean(image_dices) == pytest.approx(report["mean_dice"], abs=1e-6)
 
 
-def test_evaluate_preprocessed_dataset_uses_geometry(tmp_path):
+def test_evaluate_preprocessed_dataset_uses_its_hidden_masks(tmp_path):
     raw = raw_dataset(tmp_path, n=6, size=32)
     pre = str(tmp_path / "pre")
     preprocess.preprocess_dataset(raw, pre, mask_mode="external", out_size=16)

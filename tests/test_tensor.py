@@ -752,7 +752,8 @@ def _criterion6_twin():
 
 def test_a_recorded_forward_keeps_only_what_the_backward_rules_read():
     # a tape that keeps every operand holds 10.6 MB here, one that keeps
-    # conv buffers, relu masks and the softmax output 5.7 MB
+    # conv buffers, relu masks and the softmax output 5.0 MB (5.6 MB when
+    # an im2col conv keeps its window columns instead of its buffer)
     import tracemalloc
 
     model, x, _ = _criterion6_twin()
@@ -764,7 +765,89 @@ def test_a_recorded_forward_keeps_only_what_the_backward_rules_read():
     finally:
         tracemalloc.stop()
     assert p._node is not None
-    assert held < 8e6, held
+    assert held < 5.5e6, held
+
+
+def test_a_twin_step_peaks_under_7_5_mb():
+    # forward, pair loss and backward: about 6.0 MB here, 8.6 MB when a conv
+    # rule holds its saved input until it returns and the forward holds
+    # every lattice output until it returns
+    import tracemalloc
+
+    model, x, loss_of = _criterion6_twin()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        T.backward(loss_of(model.forward(x)))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 7.5e6, peak
+
+
+@pytest.mark.parametrize("cin,side,taps", [(8, 32, True), (2, 8, False)])
+def test_a_conv_rule_frees_its_saved_input_before_the_input_gradient(
+        cin, side, taps, monkeypatch, count_tap_convs):
+    import weakref
+
+    rng = np.random.default_rng(2200 + cin)
+    x = T.Tensor(rng.standard_normal((2, cin, side, side)).astype(np.float32), requires_grad=True)
+    w = T.Tensor(rng.standard_normal((4, cin, 3, 3)).astype(np.float32), requires_grad=True)
+    made, alive = [], []
+    flat_pad, window_cols = T._flat_pad, T._window_cols
+
+    def flat_pad_spy(a, pad, k):
+        alive.append(sum(r() is not None for r in made))
+        buf, Wp = flat_pad(a, pad, k)
+        made.append(weakref.ref(buf))
+        return buf, Wp
+
+    def window_cols_spy(buf, Wp, k, stride):
+        cols = window_cols(buf, Wp, k, stride)
+        made.append(weakref.ref(cols))
+        return cols
+
+    monkeypatch.setattr(T, "_flat_pad", flat_pad_spy)
+    monkeypatch.setattr(T, "_window_cols", window_cols_spy)
+    T.backward(T.conv2d(x, w, padding=1).sum())
+    assert len(count_tap_convs) == (2 if taps else 0)
+    # padding the input, then the upstream gradient: by then no padded
+    # input and no window columns are left
+    assert alive == [0, 0]
+    assert np.abs(x.grad).max() > 0 and np.abs(w.grad).max() > 0
+
+
+@pytest.mark.parametrize("record", [True, False])
+def test_a_lattice_output_dies_after_its_last_consumer(record, monkeypatch):
+    import contextlib
+    import weakref
+
+    model, x, _ = _criterion6_twin()
+    output_of = {convs[-1].name: f"{i}{j}" for (i, j), convs in model.node_plan.items()}
+    made, alive_at = {}, {}
+    apply = UnetPP._apply
+
+    def spy(self, spec, h, trace):
+        alive_at[spec.name] = {node for node, r in made.items() if r() is not None}
+        out = apply(self, spec, h, trace)
+        if spec.name in output_of:
+            made[output_of[spec.name]] = weakref.ref(out.data)
+        return out
+
+    monkeypatch.setattr(UnetPP, "_apply", spy)
+    with contextlib.nullcontext() if record else T.no_grad():
+        model.forward(x)
+    # lattice outputs alive as each conv starts: a row's earlier nodes die
+    # at its last node's concat, and the node a row's last node upsamples
+    # dies at that upsample
+    expected = {
+        "node_0_0.conv1": "", "node_0_0.conv2": "00", "node_1_0.conv1": "00",
+        "node_1_0.conv2": "00 10", "node_2_0.conv1": "00 10", "node_2_0.conv2": "00 10",
+        "node_0_1.conv1": "00 10 20", "node_0_1.conv2": "00 10 20",
+        "node_1_1.conv1": "00 10 01", "node_1_1.conv2": "00 01",
+        "node_0_2.conv1": "00 01", "node_0_2.conv2": "", "head_2": "02",
+    }
+    assert alive_at == {name: set(nodes.split()) for name, nodes in expected.items()}
 
 
 def test_relu_inputs_and_concat_outputs_die_with_the_forward(monkeypatch):
