@@ -85,14 +85,22 @@ def tile(image, tile_size):
 
 @dataclass
 class BatchImage:
+    """One training image.  ``pixels`` is the PGM's uint8 raster, the only
+    copy a batch holds; ``image`` converts it to float32 [0,1] on each read,
+    so writing into a returned ``image`` does not change the batch."""
     name: str
     label: str
-    image: np.ndarray
+    pixels: np.ndarray
     eta: float = None
+
+    @property
+    def image(self):
+        return pgm.to_unit(self.pixels)
 
 
 def load_batch(data_dir, split):
-    """Read a split's images (never its masks) into BatchImage records."""
+    """Read a split's images (never its masks) into BatchImage records,
+    each holding its read-only 8-bit raster, 1 byte a pixel."""
     records = read_manifest(manifest_path(data_dir, split))
     if not records:
         raise DataError(f"{split} manifest in {data_dir} is empty")
@@ -102,9 +110,9 @@ def load_batch(data_dir, split):
                 raise DataError(f"manifest references hidden evaluation data: {p}")
     batch = []
     for rec in records:
-        img = pgm.read_unit(os.path.join(data_dir, rec.image))
+        pixels = pgm.read_pgm(os.path.join(data_dir, rec.image))
         batch.append(BatchImage(name=os.path.basename(rec.image), label=rec.label,
-                                image=img, eta=rec.eta))
+                                pixels=pixels, eta=rec.eta))
     return batch
 
 
@@ -137,12 +145,13 @@ def make_pairs(batch, seed, policy):
     """Build the pair list for one step; fully determined by seed and policy."""
     if not batch:
         raise DataError("empty batch")
-    s = batch[0].image.shape[0]
+    # checked on the 8-bit rasters: a step converts only the images it picks
+    s = batch[0].pixels.shape[0]
     for b in batch:
-        if b.image.ndim != 2 or b.image.shape[0] != b.image.shape[1]:
-            raise DataError(f"image {b.name} is not square: shape {b.image.shape}")
-        if b.image.shape[0] != s:
-            raise DataError(f"batch images differ in size: {b.name} is {b.image.shape[0]} px, "
+        if b.pixels.ndim != 2 or b.pixels.shape[0] != b.pixels.shape[1]:
+            raise DataError(f"image {b.name} is not square: shape {b.pixels.shape}")
+        if b.pixels.shape[0] != s:
+            raise DataError(f"batch images differ in size: {b.name} is {b.pixels.shape[0]} px, "
                             f"{batch[0].name} is {s} px")
     if s % policy.tile_size != 0:
         raise ValueError(f"tile size {policy.tile_size} does not divide image size {s}")

@@ -1,7 +1,10 @@
+import os
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from clamseg import augment, phantoms
+from clamseg import augment, manifest, pgm, phantoms
 from clamseg.errors import DataError
 from clamseg.seeding import derive_rng
 
@@ -126,7 +129,7 @@ def make_batch(n_pos=2, n_neg=2, size=64, eta=None):
         img, _, _, _ = phantoms.make_phantom(rng, phantoms.PhantomParams.easy(size=size), pos)
         batch.append(augment.BatchImage(name=f"img_{i:04d}.pgm",
                                         label="pos" if pos else "neg",
-                                        image=img, eta=eta if pos else None))
+                                        pixels=pgm.from_unit(img), eta=eta if pos else None))
     return batch
 
 
@@ -217,9 +220,54 @@ def test_load_batch(tmp_path):
     out = str(tmp_path / "ds")
     phantoms.generate_phantoms(out, 6, 0.5, seed=3,
                                params=phantoms.PhantomParams.easy(size=32))
+    paths = {os.path.basename(r.image): os.path.join(out, r.image)
+             for r in manifest.read_manifest(manifest.manifest_path(out, "train"))}
     batch = augment.load_batch(out, "train")
     assert batch
     for b in batch:
         assert b.image.shape == (32, 32)
         assert b.label in ("pos", "neg")
         assert b.eta is None
+        # the batch holds the read-only 8-bit raster; image converts on each read
+        assert b.pixels.dtype == np.uint8 and b.pixels.shape == (32, 32)
+        assert not b.pixels.flags.writeable
+        img = b.image
+        assert img.dtype == np.float32
+        assert np.array_equal(img, pgm.read_unit(paths[b.name]))
+        img[:] = 0.0
+        assert np.array_equal(b.image, pgm.read_unit(paths[b.name]))
+
+
+def test_load_batch_holds_about_one_byte_a_pixel(tmp_path):
+    out = str(tmp_path / "ds")
+    phantoms.generate_phantoms(out, 20, 0.5, seed=5,
+                               params=phantoms.PhantomParams.easy(size=64))
+    n = len(manifest.read_manifest(manifest.manifest_path(out, "train")))
+    augment.load_batch(out, "train")  # warm imports and caches
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        batch = augment.load_batch(out, "train")
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(batch) == n
+    # a float32 copy per image would hold over 4 bytes a pixel
+    assert held < 1.5 * n * 64 * 64
+
+
+def test_make_pairs_converts_at_most_two_images_a_pair(monkeypatch):
+    calls = []
+    to_unit = pgm.to_unit
+
+    def spy(img8):
+        calls.append(img8.shape)
+        return to_unit(img8)
+
+    monkeypatch.setattr(pgm, "to_unit", spy)
+    batch = make_batch(n_pos=10, n_neg=10)
+    policy = augment.PairPolicy(n_augment=3, n_normal=2, n_cross=2, tile_size=16, default_eta=0.5)
+    pairs = augment.make_pairs(batch, seed=31, policy=policy)
+    assert len(pairs) == 7
+    # validating the 20 images must not convert them
+    assert len(calls) <= 2 * len(pairs)
