@@ -10,8 +10,8 @@ The config text is the run's `key = value` settings (written and checked by
 ``trainer``).  The sorted record order and the canonical config text make the
 file a pure function of its contents, so identical states produce identical
 bytes.  A save goes through ``files.write_atomic``, so an interrupted save
-keeps the previous checkpoint.  Version 1 files, with an older config block,
-are rejected.
+keeps the previous checkpoint.  This is version 3; versions 1 and 2, whose
+config blocks differ, are rejected.
 """
 
 import math
@@ -23,7 +23,7 @@ from .errors import DataError
 from .files import write_atomic
 
 MAGIC = b"CLAM"
-VERSION = 2
+VERSION = 3
 
 
 def save_checkpoint(path, config_text, tensors):

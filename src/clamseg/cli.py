@@ -72,7 +72,7 @@ def build_parser():
     p.add_argument("--threshold", type=float, default=0.5,
                    help="marker probability threshold (default 0.5)")
 
-    p = sub.add_parser("prune", help="truncate a checkpoint to a shallower head")
+    p = sub.add_parser("prune", help="cut a checkpoint's heads to a shallower depth")
     p.add_argument("--ckpt", required=True, help="input checkpoint")
     p.add_argument("--out", required=True, help="pruned checkpoint path")
     p.add_argument("--depth", required=True, type=int, help="head depth to keep")

@@ -62,7 +62,6 @@ def crop_and_resize(image, mask, out_size):
     c1 = min(int(cols[-1]) + 1 + CROP_MARGIN, w)
     side = max(r1 - r0, c1 - c0)
     geom = {"r0": r0, "c0": c0, "r1": r1, "c1": c1,
-            "top": (side - (r1 - r0)) // 2, "left": (side - (c1 - c0)) // 2,
             "side": side, "out_size": out_size, "src_h": h, "src_w": w}
     out = _reframe(np.where(mask, image, 0.0), geom).astype(np.float32)
     return out, geom

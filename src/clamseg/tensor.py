@@ -221,37 +221,29 @@ def _same_shape(a, b, op):
 # ---------------------------------------------------------------------------
 # elementwise and scalar ops
 
-def _operands(a, b, op):
-    """(a, b, scalar) of a binary op; ``scalar`` is True when only b is 0-d.
+def _operand(a, b, op):
+    """The second operand of a binary op whose first operand is tensor ``a``.
 
-    A number becomes a 0-d tensor in the other operand's dtype, and a 0-d
-    operand goes second.  Unless ``scalar``, shapes and dtypes must match.
+    A number becomes a 0-d tensor in a's dtype, which takes no gradient; any
+    other operand must match a's shape and dtype.
     """
-    if not isinstance(a, Tensor):
-        a = _wrap(np.full((), a, dtype=b.data.dtype))
     if not isinstance(b, Tensor):
-        b = _wrap(np.full((), b, dtype=a.data.dtype))
-    if a.data.shape == () and b.data.shape != ():
-        a, b = b, a
-    scalar = b.data.shape == () and a.data.shape != ()
-    if not scalar:
-        _same_shape(a, b, op)
-    return a, b, scalar
+        return _wrap(np.full((), b, dtype=a.data.dtype))
+    _same_shape(a, b, op)
+    return b
 
 
 def add(a, b):
-    a, b, scalar = _operands(a, b, "add")
-    out = a.data + b.data
+    b = _operand(a, b, "add")
 
     def grad_fn(g):
-        gb = g.sum(dtype=g.dtype).reshape(()) if scalar else g
-        return g, gb
+        return g, g
 
-    return _result(out, "add", (a, b), grad_fn)
+    return _result(a.data + b.data, "add", (a, b), grad_fn)
 
 
 def mul(a, b):
-    a, b, scalar = _operands(a, b, "mul")
+    b = _operand(a, b, "mul")
     with np.errstate(over="ignore"):
         out = a.data * b.data
 
@@ -260,14 +252,7 @@ def mul(a, b):
     bd = b.data if _needs_grad(a) else None
 
     def grad_fn(g):
-        ga = None if bd is None else g * bd
-        if ad is None:
-            gb = None
-        elif scalar:
-            gb = (g * ad).sum(dtype=g.dtype).reshape(())
-        else:
-            gb = g * ad
-        return ga, gb
+        return (None if bd is None else g * bd), (None if ad is None else g * ad)
 
     return _result(out, "mul", (a, b), grad_fn)
 

@@ -327,7 +327,7 @@ def _twin_b_worker(conn, state):
 
 # state beyond the RunConfig settings, recorded as `train.<key> = <int>` lines
 # after the settings text
-_TRAIN_KEYS = ("seed", "step", "truncated", "marker_channel")
+_TRAIN_KEYS = ("seed", "step", "marker_channel")
 
 
 def _settings_block(state):
@@ -337,7 +337,7 @@ def _settings_block(state):
                               state.policy, state.siamese)
     lines = [ln for ln in config.format_config(rc).splitlines(keepends=True)
              if not ln.startswith("checkpoint_every ")]
-    values = (state.seed, state.step, int(state.model_a.truncated), state.marker_channel)
+    values = (state.seed, state.step, state.marker_channel)
     lines += [f"train.{k} = {v}\n" for k, v in zip(_TRAIN_KEYS, values)]
     return "".join(lines)
 
@@ -375,7 +375,7 @@ def load_state(path):
     except UsageError as e:
         raise DataError(f"{path}: bad config block: {e}") from None
     try:
-        seed, step, truncated, marker_channel = (int(train[k]) for k in _TRAIN_KEYS)
+        seed, step, marker_channel = (int(train[k]) for k in _TRAIN_KEYS)
     except KeyError as e:
         raise DataError(f"{path}: config block missing key 'train.{e.args[0]}'") from None
     except ValueError as e:
@@ -385,9 +385,8 @@ def load_state(path):
                         f"marker_channel={marker_channel}")
 
     # the arrays below overwrite every parameter, so none is drawn
-    model_a = UnetPP(model_config, seed=None, truncated=bool(truncated))
-    model_b = model_a if rc.siamese else UnetPP(model_config, seed=None,
-                                                truncated=bool(truncated))
+    model_a = UnetPP(model_config, seed=None)
+    model_b = model_a if rc.siamese else UnetPP(model_config, seed=None)
     state = _new_state(model_a, model_b, opt_config, policy, seed)
     state.optimizer.t = step
     state.marker_channel = marker_channel
@@ -411,7 +410,7 @@ def load_state(path):
 
 
 def prune_state(state, depth):
-    """Truncate both models to head `depth`, keeping optimizer moments for
+    """Cut both models' heads to `depth`, keeping optimizer moments for
     the surviving parameters; head outputs stay bit-identical."""
     model_a = state.model_a.prune(depth)
     model_b = model_a if state.siamese else state.model_b.prune(depth)

@@ -1,19 +1,22 @@
 """Nested encoder-decoder lattice with deep-supervision heads.
 
-Nodes X^{i,j} live on the triangle 0 <= i+j <= L-1.  Level i runs at
+Nodes X^{i,j} live on the triangle 0 <= i+j <= L-1, and a model builds the
+ones its deepest head D reaches, i+j <= D.  Level i runs at
 ``base_channels * 2**i`` channels and spatial side ``input_size / 2**i``.
 Backbone nodes (i, 0) apply a stride-1 same-padding conv (+relu) and then,
-below the deepest level, a stride-2 conv (+relu) that doubles channels and
-feeds level i+1; the downsampling thus lives inside the second convolution
-rather than a pooling layer.  Selected "repeat" levels insert one extra
-stride-1 conv before the downsampler, giving two consecutive blocks at the
-same dimensions.  The deepest backbone node uses two stride-1 convs.
+below the deepest node built, a stride-2 conv (+relu) that doubles channels
+and feeds level i+1; the downsampling thus lives inside the second
+convolution rather than a pooling layer.  Selected "repeat" levels insert one
+extra stride-1 conv before the downsampler, giving two consecutive blocks at
+the same dimensions.  The level L-1 backbone node uses two stride-1 convs.
 
 Nested nodes (i, j >= 1) bilinearly upsample X^{i+1,j-1}, halve its channels
 with a 1x1 conv (+relu), concatenate all X^{i,0..j-1} skips, and fuse with a
 stride-1 conv (+relu) at the level's kernel size.  Each supervision head j is
 an independent 1x1 conv from X^{0,j} to 2 classes followed by a channel
-softmax, so pruning to any depth needs no recalibration.
+softmax.  Pruning to depth d cuts the heads to <= d and keeps every other
+setting, so a pruned model is the same lattice with fewer heads and needs no
+recalibration.
 
 Parameter naming is ``node_{i}_{j}.conv{K}.{weight,bias}`` with K numbered in
 application order within the node, and ``head_{j}.{weight,bias}``.
@@ -106,15 +109,14 @@ class UnetPP:
     zero).  ``seed=None`` draws nothing and leaves every parameter zero, for
     a caller that fills them all itself: a checkpoint load or a prune.
 
-    ``truncated`` marks a model produced by pruning: its deepest backbone
-    node keeps only the stride-1 convs that the full graph would have run for
-    that head depth, so outputs stay bit-identical to the parent graph.
+    Only the nodes that the deepest head reaches are built, each exactly as
+    the full lattice builds it, so a node's parameters and draws do not
+    depend on the heads.
     """
 
-    def __init__(self, config, seed=0, dtype=np.float32, truncated=False):
+    def __init__(self, config, seed=0, dtype=np.float32):
         self.config = config
         self.dtype = dtype
-        self.truncated = bool(truncated)
         self.node_plan = {}   # (i, j) -> [_Conv, ...]; backbone downsampler kept separate
         self.down_plan = {}   # i -> _Conv producing level i+1 input
         self.head_plan = {}   # j -> _Conv (1x1, no relu)
@@ -125,22 +127,22 @@ class UnetPP:
 
     def _build(self, seed):
         cfg = self.config
-        L = cfg.levels
-        for i in range(L):
+        L, D = cfg.levels, max(cfg.heads)
+        for i in range(D + 1):
             c = cfg.channels(i)
             k = cfg.kernel_schedule[i]
             in_ch = 1 if i == 0 else c
             convs = [_Conv(f"node_{i}_0.conv1", in_ch, c, k)]
             if i in cfg.repeat_levels:
                 convs.append(_Conv(f"node_{i}_0.conv{len(convs) + 1}", c, c, k))
-            if i == L - 1 and not self.truncated:
+            if i == L - 1:
                 convs.append(_Conv(f"node_{i}_0.conv{len(convs) + 1}", c, c, k))
             self.node_plan[(i, 0)] = convs
-            if i < L - 1:
+            if i < D:
                 self.down_plan[i] = _Conv(
                     f"node_{i}_0.conv{len(convs) + 1}", c, cfg.channels(i + 1), k, stride=2)
-        for j in range(1, L):
-            for i in range(L - j):
+        for j in range(1, D + 1):
+            for i in range(D + 1 - j):
                 c = cfg.channels(i)
                 k = cfg.kernel_schedule[i]
                 self.node_plan[(i, j)] = [
@@ -248,21 +250,18 @@ class UnetPP:
     # -- pruning ------------------------------------------------------------
 
     def prune(self, depth):
-        """New model evaluating only nodes i + j <= depth, weights copied.
+        """The same lattice with its heads cut to <= depth, weights copied.
 
-        The result's deepest backbone node drops the downsampler (and, for a
-        formerly deepest node, nothing else changes), keeping head(depth)
-        outputs bit-identical to this graph.
+        The result builds only the nodes i + j <= depth, each as this model
+        built it, so head outputs stay bit-identical to this graph.
         """
         cfg = self.config
         d = self.resolve_depth(depth)
-        truncated = d < cfg.levels - 1 or self.truncated
         sub = UnetPPConfig(
-            levels=d + 1, input_size=cfg.input_size, base_channels=cfg.base_channels,
-            kernel_schedule=cfg.kernel_schedule[:d + 1],
-            repeat_levels=[i for i in cfg.repeat_levels if i <= d],
+            levels=cfg.levels, input_size=cfg.input_size, base_channels=cfg.base_channels,
+            kernel_schedule=cfg.kernel_schedule, repeat_levels=cfg.repeat_levels,
             heads=[h for h in cfg.heads if h <= d])
-        out = UnetPP(sub, seed=None, dtype=self.dtype, truncated=truncated)
+        out = UnetPP(sub, seed=None, dtype=self.dtype)
         for name, t in out.params.items():
             t.data = self.params[name].data.copy()
         return out

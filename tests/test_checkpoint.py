@@ -33,7 +33,7 @@ def test_header_bytes(tmp_path):
     ckpt.save_checkpoint(p, "x=1\n", {})
     raw = Path(p).read_bytes()
     assert raw[:4] == b"CLAM"
-    assert struct.unpack("<I", raw[4:8])[0] == 2
+    assert struct.unpack("<I", raw[4:8])[0] == ckpt.VERSION
     assert struct.unpack("<I", raw[8:12])[0] == 4
     assert raw[12:16] == b"x=1\n"
     assert len(raw) == 16
@@ -137,7 +137,7 @@ def _record(name, dims, data=b""):
 
 
 def _file(config, *records):
-    return b"CLAM" + struct.pack("<II", 2, len(config)) + config + b"".join(records)
+    return b"CLAM" + struct.pack("<II", ckpt.VERSION, len(config)) + config + b"".join(records)
 
 
 @pytest.mark.parametrize("raw, message", [

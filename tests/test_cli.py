@@ -100,6 +100,17 @@ def test_train_missing_data_dir_exits_2_without_checkpoint(tmp_path, capsys):
     assert not os.path.exists(ckpt)
 
 
+def test_train_empty_manifest_exits_2(ws, tmp_path, capsys):
+    data = str(tmp_path / "data")
+    shutil.copytree(ws["data"], data)
+    open(manifest.manifest_path(data, "train"), "w").close()
+    out = str(tmp_path / "out.ckpt")
+    assert cli.main(["train", "--data", data, "--config", ws["cfg"], "--out", out,
+                     "--steps", "1", "--seed", "0"]) == 2
+    assert "train manifest in" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_train_out_in_missing_dir_exits_2_before_any_step(ws, tmp_path, capsys, monkeypatch):
     steps = []
     train_step = trainer.train_step
@@ -191,6 +202,18 @@ def test_eval_too_few_trials_exits_1_before_any_inference(ws, capsys, monkeypatc
     assert calls == []
 
 
+def test_eval_hidden_mask_of_another_size_exits_2_naming_the_image(ws, tmp_path, capsys):
+    data = str(tmp_path / "data")
+    shutil.copytree(ws["data"], data)
+    name = os.path.basename(ws["test_image"])
+    pgm.write_mask(os.path.join(data, "eval_masks", name), np.ones((32, 32), dtype=bool))
+    ckpt = str(tmp_path / "model.ckpt")
+    shutil.copy(ws["ckpt"], ckpt)
+    assert cli.main(["eval", "--ckpt", ckpt, "--data", data]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and name in err
+
+
 def test_eval_missing_checkpoint_exits_2(ws, capsys):
     assert cli.main(["eval", "--ckpt", ws["ckpt"] + ".nope",
                      "--data", ws["data"]]) == 2
@@ -224,13 +247,13 @@ def test_infer_depth_matches_pruned_checkpoint(ws, tmp_path, capsys):
         assert fh.read() == d
 
 
-def test_pruned_checkpoint_reloads_truncated(ws, tmp_path):
+def test_pruned_checkpoint_reloads_with_fewer_heads(ws, tmp_path):
     pruned_ckpt = str(tmp_path / "p.ckpt")
     assert cli.main(["prune", "--ckpt", ws["ckpt"], "--out", pruned_ckpt,
                      "--depth", "1"]) == 0
     full = trainer.load_state(ws["ckpt"])
     small = trainer.load_state(pruned_ckpt)
-    assert small.model_a.truncated
+    assert small.model_a.config.heads == (1,)
     assert small.model_a.parameter_count() < full.model_a.parameter_count()
 
 
@@ -257,7 +280,7 @@ def test_checkpoint_config_block_is_run_config_text(ws, tmp_path):
         assert vars(config.to_model_config(saved)) == vars(model_config)
         assert config.to_optimizer_config(saved) == opt_config
         assert config.to_policy(saved) == policy
-    assert pruned.model_a.config.levels == 2
+    assert pruned.model_a.config.heads == (1,)
 
 
 def _rewrite_config_line(src, dst, key, value):
@@ -279,10 +302,11 @@ def _rewrite_config_line(src, dst, key, value):
     ("lr", "-1", "learning rate must be positive"),
     ("n_cross", "-4", "n_cross must be nonnegative"),
     ("lr", None, "missing 'lr = 0.001'"),
-    ("train.truncated", None, "missing key 'train.truncated'"),
+    ("train.seed", None, "missing key 'train.seed'"),
+    ("train.step", "x", "bad train value"),
     ("train.marker_channel", "7", "marker_channel=7"),
 ], ids=["levels-not-int", "lr-negative", "n_cross-negative", "lr-missing",
-        "train-key-missing", "marker-channel-out-of-range"])
+        "train-key-missing", "train-value-not-int", "marker-channel-out-of-range"])
 def test_corrupt_config_block_is_a_data_error(ws, tmp_path, capsys, key, value, message):
     bad = str(tmp_path / "bad.ckpt")
     _rewrite_config_line(ws["ckpt"], bad, key, value)
@@ -296,11 +320,12 @@ def test_corrupt_config_block_is_a_data_error(ws, tmp_path, capsys, key, value, 
 def test_infer_rejects_version_1_checkpoint(ws, tmp_path, capsys):
     with open(ws["ckpt"], "rb") as fh:
         raw = fh.read()
-    v1 = tmp_path / "v1.ckpt"
-    v1.write_bytes(raw[:4] + struct.pack("<I", 1) + raw[8:])
-    assert cli.main(["infer", "--ckpt", str(v1), "--image", ws["test_image"],
-                     "--out", str(tmp_path / "m.pgm")]) == 2
-    assert "unsupported checkpoint version 1" in capsys.readouterr().err
+    for version in (1, 2):
+        old = tmp_path / f"v{version}.ckpt"
+        old.write_bytes(raw[:4] + struct.pack("<I", version) + raw[8:])
+        assert cli.main(["infer", "--ckpt", str(old), "--image", ws["test_image"],
+                         "--out", str(tmp_path / "m.pgm")]) == 2
+        assert f"unsupported checkpoint version {version}" in capsys.readouterr().err
 
 
 def test_infer_undecodable_tensor_name_exits_2(ws, tmp_path, capsys):

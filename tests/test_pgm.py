@@ -65,8 +65,9 @@ def test_read_rejects_bad_files(tmp_path):
     b"\nP5\n2 2\n255\n" + bytes(4),
     b"P5\n#1 2 255\n" + bytes(2),
     b"P5\n" + b"1" * 5000 + b" 1\n255\n" + bytes(4),
+    b"P5\n0 2\n255\n",
 ], ids=["comment-after-maxval", "trailing-raster-bytes", "crlf-after-maxval",
-        "byte-before-magic", "digits-in-comment", "5000-digit-width"])
+        "byte-before-magic", "digits-in-comment", "5000-digit-width", "zero-width"])
 def test_read_rejects_malformed_header_or_raster_length(tmp_path, raw):
     path = tmp_path / "bad.pgm"
     path.write_bytes(raw)

@@ -66,7 +66,9 @@ def test_rect_mask_is_centered():
     img[mask] = 0.5
     out, geom = preprocess.crop_and_resize(img, mask, 48)
     assert geom["side"] == 48  # wide box: 48 wide, 18 tall
-    assert geom["top"] == (48 - 18) // 2 and geom["left"] == 0
+    # the crop (margin 4) is padded by (48 - 18) // 2 rows on top, none on the left
+    assert np.array_equal(np.flatnonzero(out.any(axis=1)), np.arange(15 + 4, 15 + 14))
+    assert np.array_equal(np.flatnonzero(out.any(axis=0)), np.arange(4, 44))
     assert out.shape == (48, 48)
     # content row band sits in the vertical middle
     assert out[24].max() > 0.4
@@ -82,7 +84,7 @@ def test_empty_mask_rejected():
 def test_transform_mask_identity_geometry():
     mask = np.zeros((32, 32), dtype=bool)
     mask[5:20, 7:25] = True
-    geom = {"r0": 0, "c0": 0, "r1": 32, "c1": 32, "top": 0, "left": 0,
+    geom = {"r0": 0, "c0": 0, "r1": 32, "c1": 32,
             "side": 32, "out_size": 32, "src_h": 32, "src_w": 32}
     assert np.array_equal(preprocess.transform_mask(mask, geom), mask)
 

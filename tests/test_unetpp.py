@@ -131,10 +131,22 @@ def test_pruned_model_drops_unreachable_parameters():
     assert set(pruned.params) <= set(model.params)
     assert "node_2_0.conv1.weight" not in pruned.params
     assert "node_1_0.conv2.weight" not in pruned.params  # downsampler dropped
-    assert pruned.config.levels == 2
+    assert pruned.config.heads == (1,)
     deeper = pruned.prune(1)
     x = rand_input(np.random.default_rng(3), 8)
     assert deeper.forward(x, 1).data.tobytes() == model.forward(x, 1).data.tobytes()
+
+
+def test_model_builds_only_what_its_deepest_head_reaches():
+    cfg = UnetPPConfig(levels=4, input_size=16, base_channels=2, repeat_levels=(1, 3))
+    full = UnetPP(cfg, seed=9)
+    shallow = UnetPP(UnetPPConfig(levels=4, input_size=16, base_channels=2,
+                                  repeat_levels=(1, 3), heads=[1]), seed=9)
+    assert sorted(shallow.params) == sorted(full.prune(1).params)
+    for name, t in shallow.parameter_items():
+        assert t.data.tobytes() == full.params[name].data.tobytes(), name
+    x = rand_input(np.random.default_rng(10), 16)
+    assert shallow.forward(x).data.tobytes() == full.forward(x, depth=1).data.tobytes()
 
 
 def test_seeded_init_is_reproducible_and_seed_sensitive():
